@@ -410,21 +410,23 @@ impl CutCover {
 /// opening that valve alone (everything else as commanded) reconnects a
 /// source to a sink. Valves the cut merely contains redundantly (e.g.
 /// added by the constraint-(9) repair) are not exposed by it.
+///
+/// Two sweeps decide every member at once: with the whole cut closed,
+/// flood from the sources and from the sinks. A member is exposed iff one
+/// of its cells is source-reachable and the other sink-reachable. This is
+/// exact because the cut separates, so the two flooded regions are
+/// disjoint: reopening one member joins them iff it bridges both.
 pub fn exposed_valves(fpva: &Fpva, cut: &CutSet) -> Vec<ValveId> {
-    let sources = source_cells(fpva);
-    let sinks = sink_cells(fpva);
+    let blocked: HashSet<EdgeId> = cut.valves().iter().map(|&v| fpva.edge_of(v)).collect();
+    let from_sources = reachable_from(fpva, &source_cells(fpva), &blocked);
+    let from_sinks = reachable_from(fpva, &sink_cells(fpva), &blocked);
     cut.valves()
         .iter()
         .copied()
         .filter(|&v| {
-            let blocked: HashSet<EdgeId> = cut
-                .valves()
-                .iter()
-                .filter(|&&w| w != v)
-                .map(|&w| fpva.edge_of(w))
-                .collect();
-            let reach = reachable_from(fpva, &sources, &blocked);
-            sinks.iter().any(|&s| reach[fpva.cell_index(s)])
+            let (a, b) = fpva.valve_endpoints(v);
+            let (a, b) = (fpva.cell_index(a), fpva.cell_index(b));
+            (from_sources[a] && from_sinks[b]) || (from_sources[b] && from_sinks[a])
         })
         .collect()
 }
@@ -560,6 +562,105 @@ mod tests {
         for (v, _) in f.valves() {
             let cut = cut_through_valve(&f, v).unwrap_or_else(|| panic!("no cut through {v}"));
             assert!(cut.covers(v));
+        }
+    }
+
+    /// The per-member oracle [`exposed_valves`] replaced: one whole-chip
+    /// flood per cut valve, with every other member closed.
+    fn reference_exposed_valves(fpva: &Fpva, cut: &CutSet) -> Vec<ValveId> {
+        let sources = source_cells(fpva);
+        let sinks = sink_cells(fpva);
+        cut.valves()
+            .iter()
+            .copied()
+            .filter(|&v| {
+                let blocked: HashSet<EdgeId> = cut
+                    .valves()
+                    .iter()
+                    .filter(|&&w| w != v)
+                    .map(|&w| fpva.edge_of(w))
+                    .collect();
+                let reach = reachable_from(fpva, &sources, &blocked);
+                sinks.iter().any(|&s| reach[fpva.cell_index(s)])
+            })
+            .collect()
+    }
+
+    fn assert_exposure_matches_reference(f: &Fpva, cut: &CutSet) {
+        assert_eq!(
+            exposed_valves(f, cut),
+            reference_exposed_valves(f, cut),
+            "exposure of cut {:?} differs",
+            cut.valves()
+        );
+    }
+
+    fn assert_cover_exposure_matches_reference(chips: &[Fpva]) {
+        for f in chips {
+            for cut in cut_cover(f).unwrap().cuts {
+                assert_exposure_matches_reference(f, &cut);
+            }
+        }
+    }
+
+    #[test]
+    fn exposure_matches_reference_on_generated_cuts() {
+        let mut chips = vec![layouts::table1_5x5(), layouts::table1_10x10()];
+        chips.extend((2..=12).map(|n| layouts::full_array(n, n)));
+        chips.push(layouts::custom_biochip());
+        assert_cover_exposure_matches_reference(&chips);
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "per-valve oracle is slow unoptimised: run with --release"
+    )]
+    fn exposure_matches_reference_on_large_table1_cuts() {
+        assert_cover_exposure_matches_reference(&[
+            layouts::table1_15x15(),
+            layouts::table1_20x20(),
+            layouts::table1_30x30(),
+        ]);
+    }
+
+    #[test]
+    fn exposure_matches_reference_on_random_separating_sets() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(9);
+        let chips = [
+            layouts::table1_5x5(),
+            layouts::full_array(4, 6),
+            layouts::custom_biochip(),
+        ];
+        for f in &chips {
+            let mut tested = 0;
+            for round in 0..90 {
+                // Dense random subsets separate often; mixing in a known
+                // cut keeps sparse, barely-separating ones in the sample.
+                let density = [0.4, 0.6, 0.8][round % 3];
+                let mut valves: Vec<ValveId> = f
+                    .valves()
+                    .map(|(v, _)| v)
+                    .filter(|_| rng.gen_bool(density))
+                    .collect();
+                if round % 2 == 0 {
+                    let lines = straight_line_cuts(f).unwrap();
+                    let line = &lines[rng.gen_range(0..lines.len())];
+                    valves = line
+                        .valves()
+                        .iter()
+                        .copied()
+                        .chain(valves.into_iter().filter(|_| rng.gen_bool(0.1)))
+                        .collect();
+                }
+                if let Ok(cut) = CutSet::new(f, valves) {
+                    assert_exposure_matches_reference(f, &cut);
+                    tested += 1;
+                }
+            }
+            assert!(tested > 25, "only {tested} separating sets sampled");
         }
     }
 

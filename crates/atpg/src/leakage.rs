@@ -2,7 +2,7 @@
 //!
 //! The paper states that control-layer leakage "can also be detected by
 //! adapting the valve coverage problem" but omits the construction for
-//! space. This module implements the documented adaptation (DESIGN.md §4):
+//! space. This module implements one such adaptation:
 //!
 //! A leak fault `(a → b)` closes victim `b` whenever actuator `a` is
 //! commanded closed. A **path-shaped vector** detects the pair exactly when
