@@ -9,7 +9,7 @@
 //! sweep is quadratic in the valve count, so it runs on the same scoped
 //! worker pool ([`crate::exec`]) as the campaign.
 
-use crate::bitsim::{BitSimulator, KernelStats, LoweredChip, SimKernel, LANES};
+use crate::bitsim::{BitSimulator, KernelStats, LoweredChip, SimKernel, SingleFaultTable, LANES};
 use crate::exec;
 use crate::fault::{Fault, FaultSet};
 use crate::suite::TestSuite;
@@ -169,7 +169,10 @@ pub fn two_fault_audit(
 /// identical for both kernels; the bit-parallel one packs [`LANES`]
 /// consecutive pairs of the scan order per word (the pair-chunk size is a
 /// multiple of [`LANES`], so only a chunk's trailing block can be
-/// partial).
+/// partial). It first builds the suite's [`SingleFaultTable`], so a pair
+/// with only one fault active on a vector is answered by lookup and a
+/// vector is flooded only when some undetected pair has both faults
+/// active; the table's floods count in the report's `word_passes`.
 pub fn two_fault_audit_with(
     fpva: &Fpva,
     suite: &TestSuite,
@@ -186,12 +189,16 @@ pub fn two_fault_audit_with(
         let b = if r >= a { r + 1 } else { r };
         (Fault::StuckAt0(ValveId(a)), Fault::StuckAt1(ValveId(b)))
     };
-    let lowered = (kernel == SimKernel::BitParallel && total > 0).then(|| LoweredChip::build(fpva));
+    let lowered = (kernel == SimKernel::BitParallel && total > 0).then(|| {
+        let chip = LoweredChip::build(fpva);
+        let table = SingleFaultTable::build(&chip, suite, threads);
+        (chip, table)
+    });
     let chunks = exec::run_chunked(threads, total, PAIR_CHUNK, |pairs| {
         let mut stats = KernelStats::default();
         let mut undetected = Vec::new();
         match &lowered {
-            Some(chip) => {
+            Some((chip, table)) => {
                 let mut sim = BitSimulator::new(chip);
                 let mut block_pairs = Vec::with_capacity(LANES);
                 let mut sets = Vec::with_capacity(LANES);
@@ -207,7 +214,7 @@ pub fn two_fault_audit_with(
                                 .expect("distinct valves cannot conflict"),
                         );
                     }
-                    let mask = sim.detect_block(suite, &sets);
+                    let mask = sim.detect_block_with(suite, table, &sets);
                     for (lane, &pair) in block_pairs.iter().enumerate() {
                         if mask >> lane & 1 == 0 {
                             undetected.push(pair);
@@ -235,7 +242,7 @@ pub fn two_fault_audit_with(
         (undetected, stats)
     });
     let mut undetected = Vec::new();
-    let mut stats = KernelStats::default();
+    let mut stats = lowered.map(|(_, table)| table.stats()).unwrap_or_default();
     for (chunk_undetected, chunk_stats) in chunks {
         undetected.extend(chunk_undetected);
         stats.merge(&chunk_stats);
@@ -248,11 +255,8 @@ pub fn two_fault_audit_with(
 }
 
 /// Randomly samples `samples` (stuck-at-0, stuck-at-1) pairs; reproducible
-/// via `seed`.
-///
-/// # Panics
-///
-/// Panics if the array has fewer than two valves.
+/// via `seed`. An array with fewer than two valves has no such pair, so
+/// its report is empty (`total` 0), as from [`two_fault_audit`].
 pub fn two_fault_audit_sampled(
     fpva: &Fpva,
     suite: &TestSuite,
@@ -260,7 +264,13 @@ pub fn two_fault_audit_sampled(
     seed: u64,
 ) -> CoverageReport<(Fault, Fault)> {
     let nv = fpva.valve_count();
-    assert!(nv >= 2, "two-fault audit needs at least two valves");
+    if nv < 2 {
+        return CoverageReport {
+            total: 0,
+            undetected: Vec::new(),
+            stats: KernelStats::default(),
+        };
+    }
     let mut rng = StdRng::seed_from_u64(seed);
     let mut undetected = Vec::new();
     let mut stats = KernelStats::default();
@@ -378,6 +388,21 @@ mod tests {
         assert_eq!(f.valve_count(), 1);
         let suite = complete_suite(&f);
         let report = two_fault_audit(&f, &suite, 4);
+        assert_eq!(report.total, 0);
+        assert_eq!(report.coverage(), None);
+        assert!(report.is_complete());
+    }
+
+    #[test]
+    fn sampled_audit_handles_tiny_arrays() {
+        let f = FpvaBuilder::new(1, 2)
+            .port(0, 0, Side::West, PortKind::Source)
+            .port(0, 1, Side::East, PortKind::Sink)
+            .build()
+            .unwrap();
+        assert_eq!(f.valve_count(), 1);
+        let suite = complete_suite(&f);
+        let report = two_fault_audit_sampled(&f, &suite, 25, 9);
         assert_eq!(report.total, 0);
         assert_eq!(report.coverage(), None);
         assert!(report.is_complete());

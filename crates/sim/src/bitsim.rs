@@ -19,7 +19,32 @@
 //!   AND/OR over the lowered adjacency,
 //! * [`BitSimulator`] — the batch detector built on top: applies every
 //!   suite vector to up to [`LANES`] fault sets at once and reports the
-//!   detected lanes as a bitmask, plus [`KernelStats`] counters.
+//!   detected lanes as a bitmask, plus [`KernelStats`] counters,
+//! * [`SingleFaultTable`] — per vector, which single stuck-at faults it
+//!   exposes; built once per `(chip, suite)` with the same kernel, it lets
+//!   the detector answer multi-fault lanes by lookup.
+//!
+//! # Fault-activation pruning
+//!
+//! A fault can only change a response on a vector that activates it
+//! ([`Fault::is_active`]): a stuck-at-0 on a valve commanded open, a
+//! stuck-at-1 on a valve commanded closed, a control leak whose actuator
+//! is commanded closed while its victim is commanded open. Before flooding
+//! a vector, [`BitSimulator::detect_block`] sorts the still-undetected
+//! lanes:
+//!
+//! * a lane with no active fault is **dormant**: its valves sit at their
+//!   commanded states, so its response is the golden one;
+//! * given a [`SingleFaultTable`], a lane whose only active fault is a
+//!   stuck-at is **looked up**: every other valve is at its commanded
+//!   state, so the lane responds exactly like that single fault does;
+//! * every other lane needs the flood.
+//!
+//! A vector on which no undetected lane needs the flood is answered
+//! without one (counted in [`KernelStats::pruned_passes`]); otherwise one
+//! flood answers all 64 lanes as before. The vectors stop once every lane
+//! is detected. Over-approximating "active" only costs a flood, never a
+//! wrong answer.
 //!
 //! # Scalar-oracle invariant
 //!
@@ -33,8 +58,9 @@
 //! *only* differ in speed.
 
 use crate::fault::{Fault, FaultSet};
+use crate::pressure::Response;
 use crate::suite::TestSuite;
-use fpva_grid::{EdgeKind, Fpva, PortKind, TestVector};
+use fpva_grid::{EdgeKind, Fpva, PortKind, TestVector, ValveId};
 use std::collections::VecDeque;
 
 /// Scenarios packed per machine word.
@@ -332,15 +358,22 @@ pub enum SimKernel {
 /// Work counters of a campaign/audit run, for throughput reporting.
 ///
 /// All counters are a pure function of `(chip, suite, config)` — chunk
-/// decomposition and early exits are deterministic — so stats, like rows,
-/// are identical for every thread count *within* one kernel. Across
-/// kernels only the results match; the stats are exactly what differs.
+/// decomposition, activation pruning and early exits are deterministic —
+/// so stats, like rows, are identical for every thread count *within* one
+/// kernel. Across kernels only the results match; the stats are exactly
+/// what differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelStats {
     /// 64-lane scenario blocks simulated by the bit-parallel kernel.
     pub blocks: usize,
-    /// Word-parallel bitset-BFS passes (one per vector per live block).
+    /// Word-parallel bitset-BFS passes (floods): one per vector a live
+    /// block needed flooded, plus the floods that built a
+    /// [`SingleFaultTable`].
     pub word_passes: usize,
+    /// Vector applications of the bit-parallel kernel answered without a
+    /// flood: every undetected lane was dormant or answered by a
+    /// [`SingleFaultTable`] lookup.
+    pub pruned_passes: usize,
     /// Live scenario lanes simulated by the bit-parallel kernel (partial
     /// trailing blocks count only their occupied lanes).
     pub lanes: usize,
@@ -354,8 +387,97 @@ impl KernelStats {
     pub fn merge(&mut self, other: &KernelStats) {
         self.blocks += other.blocks;
         self.word_passes += other.word_passes;
+        self.pruned_passes += other.pruned_passes;
         self.lanes += other.lanes;
         self.scalar_passes += other.scalar_passes;
+    }
+}
+
+/// Vectors per work chunk of [`SingleFaultTable::build`]; fixed so the
+/// decomposition never depends on the thread count.
+const TABLE_CHUNK: usize = 8;
+
+/// Which single stuck-at faults each vector of a suite exposes.
+///
+/// Every vector activates exactly one stuck-at fault per valve: stuck-at-0
+/// on a valve commanded open, stuck-at-1 on one commanded closed (the
+/// other is dormant and never detected). Row `i` of the table is a bitset
+/// over valves whose bit `v` says whether vector `i`'s response under that
+/// active fault on `v` deviates from the golden one. So the stuck-at-0
+/// detections of vector `i` are its row ∧ the vector's open bits, and the
+/// stuck-at-1 detections its row ∧ the closed bits.
+///
+/// Built once per `(chip, suite)` by packing each vector's active faults
+/// 64 per lane word, so it costs `⌈n_v / 64⌉` floods per vector (counted
+/// in [`SingleFaultTable::stats`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SingleFaultTable {
+    /// Rows: the suite's vector count.
+    vectors: usize,
+    /// `u64` words per row (`⌈n_v / 64⌉`).
+    words: usize,
+    /// `vectors × words` exposure bits, row-major.
+    exposed: Vec<u64>,
+    stats: KernelStats,
+}
+
+impl SingleFaultTable {
+    /// Builds the table for `suite` on `chip`, spreading the vectors over
+    /// `threads` workers (`1` = serial, `0` = all CPUs). The table and its
+    /// stats are identical for every thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the suite's vectors were built for a different valve
+    /// count than the lowered chip.
+    pub fn build(chip: &LoweredChip, suite: &TestSuite, threads: usize) -> Self {
+        let nv = chip.valve_count();
+        let chunks = crate::exec::run_chunked(threads, suite.len(), TABLE_CHUNK, |range| {
+            let mut sim = BitSimulator::new(chip);
+            let mut rows = Vec::new();
+            let mut sets = Vec::with_capacity(LANES);
+            for i in range {
+                let vector = &suite.vectors()[i];
+                assert_eq!(vector.len(), nv, "vector/chip size mismatch");
+                for base in (0..nv).step_by(LANES) {
+                    sets.clear();
+                    sets.extend((base..nv.min(base + LANES)).map(|v| {
+                        let v = ValveId(v);
+                        let fault = if vector.is_open(v) {
+                            Fault::StuckAt0(v)
+                        } else {
+                            Fault::StuckAt1(v)
+                        };
+                        FaultSet::from_iter([fault])
+                    }));
+                    rows.push(sim.respond(vector, &suite.expected()[i], &sets));
+                }
+            }
+            (rows, sim.stats())
+        });
+        let mut exposed = Vec::with_capacity(suite.len() * nv.div_ceil(LANES));
+        let mut stats = KernelStats::default();
+        for (rows, chunk_stats) in chunks {
+            exposed.extend(rows);
+            stats.merge(&chunk_stats);
+        }
+        SingleFaultTable {
+            vectors: suite.len(),
+            words: nv.div_ceil(LANES),
+            exposed,
+            stats,
+        }
+    }
+
+    /// `true` when vector `i`'s response under the stuck-at fault it
+    /// activates on valve `v` deviates from the golden response.
+    pub fn exposes(&self, i: usize, v: ValveId) -> bool {
+        self.exposed[i * self.words + v.index() / LANES] >> (v.index() % LANES) & 1 == 1
+    }
+
+    /// The floods spent building the table.
+    pub fn stats(&self) -> KernelStats {
+        self.stats
     }
 }
 
@@ -448,13 +570,32 @@ impl<'c> BitSimulator<'c> {
         }
     }
 
+    /// Floods one vector for all lanes of `sets` and returns the lanes
+    /// whose sink readings differ from `golden`.
+    fn respond(&mut self, vector: &TestVector, golden: &Response, sets: &[FaultSet]) -> u64 {
+        self.load_open_lanes(vector, sets);
+        self.frontier.propagate(self.chip, &self.open);
+        self.stats.word_passes += 1;
+        let mut differs = 0u64;
+        for (s, &cell) in self.chip.sink_cells().iter().enumerate() {
+            let lanes = self.frontier.lanes_at(cell as usize);
+            let gold = if golden.readings()[s] { !0u64 } else { 0 };
+            differs |= lanes ^ gold;
+        }
+        differs
+    }
+
     /// Applies every vector of `suite` to up to [`LANES`] fault sets at
     /// once and returns the detected lanes as a bitmask: bit `l` is set
     /// exactly when some vector's response under `sets[l]` deviates from
     /// the suite's golden response — the same criterion as
-    /// [`TestSuite::detects`], evaluated for all lanes per pass. Vectors
-    /// stop being applied once every lane is detected (the word-level
-    /// analogue of the scalar early exit; the result is unaffected).
+    /// [`TestSuite::detects`], evaluated for all lanes per pass.
+    ///
+    /// A vector is flooded only when some undetected lane has an active
+    /// fault on it; a vector on which every undetected lane is dormant is
+    /// answered without a flood (see the module docs). Vectors stop being
+    /// applied once every lane is detected (the word-level analogue of the
+    /// scalar early exit). Neither shortcut changes the result.
     ///
     /// Bits at and above `sets.len()` are always zero.
     ///
@@ -464,6 +605,35 @@ impl<'c> BitSimulator<'c> {
     /// for a different valve count than the lowered chip, or if a fault
     /// references a valve outside the chip.
     pub fn detect_block(&mut self, suite: &TestSuite, sets: &[FaultSet]) -> u64 {
+        self.detect(suite, None, sets)
+    }
+
+    /// [`BitSimulator::detect_block`] that also answers, by lookup in
+    /// `table`, every lane whose only active fault on a vector is a
+    /// stuck-at; such a lane responds exactly like that single fault. A
+    /// vector is then flooded only when some undetected lane has two or
+    /// more active faults, or an active control leak.
+    ///
+    /// # Panics
+    ///
+    /// As [`BitSimulator::detect_block`]; also if `table` was built for a
+    /// suite with a different vector count (it must be built for `suite`).
+    pub fn detect_block_with(
+        &mut self,
+        suite: &TestSuite,
+        table: &SingleFaultTable,
+        sets: &[FaultSet],
+    ) -> u64 {
+        assert_eq!(table.vectors, suite.len(), "table/suite mismatch");
+        self.detect(suite, Some(table), sets)
+    }
+
+    fn detect(
+        &mut self,
+        suite: &TestSuite,
+        table: Option<&SingleFaultTable>,
+        sets: &[FaultSet],
+    ) -> u64 {
         assert!(sets.len() <= LANES, "at most {LANES} fault sets per block");
         if sets.is_empty() {
             return 0;
@@ -476,7 +646,7 @@ impl<'c> BitSimulator<'c> {
         self.stats.blocks += 1;
         self.stats.lanes += sets.len();
         let mut detected = 0u64;
-        for (vector, golden) in suite.vectors().iter().zip(suite.expected()) {
+        for (i, (vector, golden)) in suite.vectors().iter().zip(suite.expected()).enumerate() {
             if detected == live {
                 break;
             }
@@ -485,16 +655,31 @@ impl<'c> BitSimulator<'c> {
                 self.chip.valve_count(),
                 "vector/chip size mismatch"
             );
-            self.load_open_lanes(vector, sets);
-            self.frontier.propagate(self.chip, &self.open);
-            self.stats.word_passes += 1;
-            let mut differs = 0u64;
-            for (s, &cell) in self.chip.sink_cells().iter().enumerate() {
-                let lanes = self.frontier.lanes_at(cell as usize);
-                let gold = if golden.readings()[s] { !0u64 } else { 0 };
-                differs |= lanes ^ gold;
+            let mut flood = 0u64;
+            let mut pending = live & !detected;
+            while pending != 0 {
+                let lane = pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                let mut active = sets[lane].faults().iter().filter(|f| f.is_active(vector));
+                let Some(first) = active.next() else {
+                    continue;
+                };
+                match (first, table) {
+                    (Fault::StuckAt0(v) | Fault::StuckAt1(v), Some(table))
+                        if active.next().is_none() =>
+                    {
+                        if table.exposes(i, *v) {
+                            detected |= 1 << lane;
+                        }
+                    }
+                    _ => flood |= 1 << lane,
+                }
             }
-            detected |= differs & live;
+            if flood == 0 {
+                self.stats.pruned_passes += 1;
+                continue;
+            }
+            detected |= self.respond(vector, golden, sets) & live;
         }
         detected
     }
@@ -608,21 +793,31 @@ mod tests {
     fn detect_block_matches_suite_detects() {
         let f = layouts::table1_5x5();
         let chip = LoweredChip::build(&f);
-        let suite = TestSuite::new(
-            &f,
-            vec![
-                TestVector::all_open(f.valve_count()),
-                TestVector::all_closed(f.valve_count()),
-            ],
-        );
         let mut rng = StdRng::seed_from_u64(5);
-        // 70 sets: one full block plus a partial one.
+        // The all-open/all-closed pair, then random vectors on which each
+        // fault kind is active on some vectors and dormant on others.
+        let mut vectors = vec![
+            TestVector::all_open(f.valve_count()),
+            TestVector::all_closed(f.valve_count()),
+        ];
+        for _ in 0..6 {
+            vectors.push(TestVector::from_open_valves(
+                f.valve_count(),
+                f.valves()
+                    .map(|(v, _)| v)
+                    .filter(|_| rng.gen_range(0..3) != 0),
+            ));
+        }
+        let suite = TestSuite::new(&f, vectors);
+        let table = SingleFaultTable::build(&chip, &suite, 1);
+        // 70 sets with control leaks: one full block plus a partial one.
         let sets: Vec<FaultSet> = (0..70)
             .map(|i| crate::campaign::random_fault_set(&f, &mut rng, i % 5 + 1, true))
             .collect();
         let mut sim = BitSimulator::new(&chip);
         for block in sets.chunks(LANES) {
             let mask = sim.detect_block(&suite, block);
+            assert_eq!(sim.detect_block_with(&suite, &table, block), mask);
             for (lane, set) in block.iter().enumerate() {
                 assert_eq!(
                     mask >> lane & 1 == 1,
@@ -636,9 +831,148 @@ mod tests {
             }
         }
         let stats = sim.stats();
-        assert_eq!(stats.blocks, 2);
-        assert_eq!(stats.lanes, 70);
+        assert_eq!(stats.blocks, 4);
+        assert_eq!(stats.lanes, 140);
         assert!(stats.word_passes >= 2);
+    }
+
+    /// A lane whose faults are all dormant on a vector has the golden
+    /// response there, so a block of such lanes is not flooded.
+    #[test]
+    fn dormant_lanes_are_not_flooded() {
+        let f = line3();
+        let chip = LoweredChip::build(&f);
+        // Vector 0 closes v0 and opens v1; vector 1 opens both.
+        let mut first = TestVector::all_open(f.valve_count());
+        first.set(ValveId(0), ValveState::Closed);
+        let suite = TestSuite::new(&f, vec![first, TestVector::all_open(f.valve_count())]);
+        let sets = [
+            // Dormant on vector 0 (v0 commanded closed), active on 1.
+            FaultSet::try_from_faults(vec![Fault::StuckAt0(ValveId(0))]).unwrap(),
+            // Dormant on both (v1 commanded open).
+            FaultSet::try_from_faults(vec![Fault::StuckAt1(ValveId(1))]).unwrap(),
+        ];
+        let mut sim = BitSimulator::new(&chip);
+        assert_eq!(sim.detect_block(&suite, &sets), 0b01);
+        let stats = sim.stats();
+        assert_eq!(stats.word_passes, 1, "only vector 1 needs a flood");
+        assert_eq!(stats.pruned_passes, 1);
+
+        // A block whose undetected lanes are all dormant is never flooded.
+        let mut sim = BitSimulator::new(&chip);
+        assert_eq!(sim.detect_block(&suite, &sets[1..]), 0);
+        assert_eq!(sim.stats().word_passes, 0);
+        assert_eq!(sim.stats().pruned_passes, 2);
+    }
+
+    #[test]
+    fn leak_onto_a_closed_victim_is_dormant() {
+        let f = layouts::full_array(2, 2);
+        let a = ValveId(0);
+        let v = f.valve_neighbors(a)[0];
+        let leak = Fault::ControlLeak {
+            actuator: a,
+            victim: v,
+        };
+        let mut vector = TestVector::all_closed(f.valve_count());
+        assert!(!leak.is_active(&vector), "victim commanded closed");
+        vector.set(v, ValveState::Open);
+        assert!(leak.is_active(&vector), "actuator closed, victim open");
+        vector.set(a, ValveState::Open);
+        assert!(!leak.is_active(&vector), "actuator commanded open");
+
+        // On an all-closed vector the leak lane is dormant: no flood.
+        let chip = LoweredChip::build(&f);
+        let suite = TestSuite::new(&f, vec![TestVector::all_closed(f.valve_count())]);
+        let mut sim = BitSimulator::new(&chip);
+        let set = FaultSet::try_from_faults(vec![leak]).unwrap();
+        assert_eq!(sim.detect_block(&suite, &[set]), 0);
+        assert_eq!(sim.stats().word_passes, 0);
+        assert_eq!(sim.stats().pruned_passes, 1);
+    }
+
+    /// A stuck-at-1 on a leak's victim overrides the leak, so the lane is
+    /// neither the leak's nor the stuck-at's single-fault response on
+    /// every vector; with and without the single-fault table the kernel
+    /// must still agree with the scalar oracle on every vector.
+    #[test]
+    fn stuck_at_1_on_leak_victim_matches_oracle() {
+        let f = layouts::full_array(3, 3);
+        let chip = LoweredChip::build(&f);
+        let mut sets = Vec::new();
+        for (a, _) in f.valves() {
+            for v in f.valve_neighbors(a) {
+                sets.push(
+                    FaultSet::try_from_faults(vec![
+                        Fault::ControlLeak {
+                            actuator: a,
+                            victim: v,
+                        },
+                        Fault::StuckAt1(v),
+                    ])
+                    .unwrap(),
+                );
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..16 {
+            let vector = TestVector::from_open_valves(
+                f.valve_count(),
+                f.valves()
+                    .map(|(v, _)| v)
+                    .filter(|_| rng.gen_range(0..2) == 1),
+            );
+            let suite = TestSuite::new(&f, vec![vector]);
+            let table = SingleFaultTable::build(&chip, &suite, 1);
+            let mut sim = BitSimulator::new(&chip);
+            for block in sets.chunks(LANES) {
+                let plain = sim.detect_block(&suite, block);
+                let looked_up = sim.detect_block_with(&suite, &table, block);
+                for (lane, set) in block.iter().enumerate() {
+                    let oracle = suite.detects(&f, set);
+                    assert_eq!(plain >> lane & 1 == 1, oracle, "{set:?}");
+                    assert_eq!(looked_up >> lane & 1 == 1, oracle, "{set:?}");
+                }
+            }
+        }
+    }
+
+    /// Every table bit against the scalar oracle for the single stuck-at
+    /// fault the vector activates on that valve.
+    #[test]
+    fn single_fault_table_matches_scalar_oracle() {
+        let f = layouts::custom_biochip();
+        let chip = LoweredChip::build(&f);
+        let mut rng = StdRng::seed_from_u64(8);
+        let vectors: Vec<TestVector> = (0..5)
+            .map(|_| {
+                TestVector::from_open_valves(
+                    f.valve_count(),
+                    f.valves()
+                        .map(|(v, _)| v)
+                        .filter(|_| rng.gen_range(0..4) != 0),
+                )
+            })
+            .collect();
+        let suite = TestSuite::new(&f, vectors);
+        let table = SingleFaultTable::build(&chip, &suite, 1);
+        assert_eq!(SingleFaultTable::build(&chip, &suite, 3), table);
+        assert_eq!(
+            table.stats().word_passes,
+            suite.len() * f.valve_count().div_ceil(LANES)
+        );
+        for (i, vector) in suite.vectors().iter().enumerate() {
+            let one = TestSuite::new(&f, vec![vector.clone()]);
+            for (v, _) in f.valves() {
+                let fault = if vector.is_open(v) {
+                    Fault::StuckAt0(v)
+                } else {
+                    Fault::StuckAt1(v)
+                };
+                let set = FaultSet::try_from_faults(vec![fault]).unwrap();
+                assert_eq!(table.exposes(i, v), one.detects(&f, &set), "{i} {fault}");
+            }
+        }
     }
 
     #[test]

@@ -31,6 +31,31 @@ pub enum Fault {
     },
 }
 
+impl Fault {
+    /// `true` when `vector` activates the fault — when the fault can make
+    /// the chip's valve states differ from the commanded ones. A stuck-at-0
+    /// is active on a valve commanded open, a stuck-at-1 on a valve
+    /// commanded closed, and a control leak when its actuator is commanded
+    /// closed while its victim is commanded open.
+    ///
+    /// A fault set whose faults are all dormant under `vector` has exactly
+    /// the fault-free response to it, which is what lets the bit-parallel
+    /// kernel skip such scenarios.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault references a valve outside `vector`.
+    pub fn is_active(&self, vector: &TestVector) -> bool {
+        match *self {
+            Fault::StuckAt0(v) => vector.is_open(v),
+            Fault::StuckAt1(v) => !vector.is_open(v),
+            Fault::ControlLeak { actuator, victim } => {
+                !vector.is_open(actuator) && vector.is_open(victim)
+            }
+        }
+    }
+}
+
 impl fmt::Display for Fault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

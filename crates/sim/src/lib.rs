@@ -20,7 +20,8 @@
 //! * [`audit`] — exhaustive single-fault and pairwise two-fault coverage
 //!   audits used to check the paper's two-fault detection guarantee,
 //! * [`bitsim`] — the bit-parallel (PPSFP-style) simulation kernel: 64
-//!   fault scenarios per `u64` word, one bitset BFS per vector,
+//!   fault scenarios per `u64` word, one bitset BFS per vector that
+//!   activates a fault in some undetected lane,
 //! * [`exec`] — the scoped worker pool the campaign and the pairwise
 //!   audit share (fixed-size chunks, merged in chunk order, so results
 //!   never depend on the thread count).
@@ -71,6 +72,17 @@
 //! chunk packs consecutive trials into lanes (only the trailing block of
 //! a row is partial), so 64 per-trial BFS traversals collapse into one.
 //!
+//! A vector is flooded only if it activates a fault in some
+//! still-undetected lane ([`Fault::is_active`]): a lane whose faults are
+//! all dormant has the golden response, so a vector on which every
+//! undetected lane is dormant is answered without a flood. The pairwise
+//! audit goes further: it first builds the suite's
+//! [`bitsim::SingleFaultTable`] (per vector, which single stuck-at faults
+//! it exposes) and answers a pair with only one active fault by lookup,
+//! so only vectors on which some undetected pair has both faults active
+//! are flooded. [`KernelStats`] counts both the floods (`word_passes`)
+//! and the vector applications answered without one (`pruned_passes`).
+//!
 //! **Scalar-oracle invariant:** the scalar path ([`propagate`],
 //! [`TestSuite::detects`], [`campaign::leak_is_observable`]) is retained
 //! unchanged and is the oracle — the bit-parallel kernel must reproduce
@@ -111,7 +123,9 @@ mod pressure;
 mod suite;
 
 pub use audit::CoverageReport;
-pub use bitsim::{BitFrontier, BitSimulator, KernelStats, LaneSet, LoweredChip, SimKernel};
+pub use bitsim::{
+    BitFrontier, BitSimulator, KernelStats, LaneSet, LoweredChip, SimKernel, SingleFaultTable,
+};
 pub use campaign::{CampaignConfig, CampaignRow, ChipContext, ObservableLeaks};
 pub use error::SimError;
 pub use fault::{EffectiveStates, Fault, FaultSet};

@@ -86,6 +86,41 @@ fn rows_match_scalar_oracle_on_all_table1_layouts() {
     }
 }
 
+/// `detect_block`, plain and with the single-fault table, against
+/// `TestSuite::detects` on real plan suites, with control leaks in the
+/// fault mix; the plan's cut and leakage vectors leave each fault kind
+/// dormant on some vectors and active on others.
+#[test]
+fn detect_block_matches_suite_detects_on_plan_suites() {
+    use fpva::sim::{campaign::random_fault_set, BitSimulator, LoweredChip, SingleFaultTable};
+    use rand::{rngs::StdRng, SeedableRng};
+    let biochip = layouts::custom_biochip();
+    let biochip_suite = Atpg::new()
+        .generate(&biochip)
+        .expect("biochip plan generates")
+        .to_suite(&biochip);
+    let (fpva_5x5, suite_5x5) = planned_5x5();
+    for (fpva, suite) in [(fpva_5x5, suite_5x5), (&biochip, &biochip_suite)] {
+        let chip = LoweredChip::build(fpva);
+        let table = SingleFaultTable::build(&chip, suite, 2);
+        let mut rng = StdRng::seed_from_u64(17);
+        let sets: Vec<_> = (0..200)
+            .map(|i| random_fault_set(fpva, &mut rng, i % 5 + 1, true))
+            .collect();
+        let mut sim = BitSimulator::new(&chip);
+        for block in sets.chunks(64) {
+            let plain = sim.detect_block(suite, block);
+            let looked_up = sim.detect_block_with(suite, &table, block);
+            for (lane, set) in block.iter().enumerate() {
+                let oracle = suite.detects(fpva, set);
+                assert_eq!(plain >> lane & 1 == 1, oracle, "{set:?}");
+                assert_eq!(looked_up >> lane & 1 == 1, oracle, "{set:?}");
+            }
+        }
+        assert!(sim.stats().pruned_passes > 0, "no vector was pruned");
+    }
+}
+
 #[test]
 fn lane_packing_edge_cases_match_scalar_oracle() {
     let (fpva, suite) = planned_5x5();

@@ -137,6 +137,26 @@ fn two_fault_guarantee_exhaustive_5x5() {
     );
 }
 
+/// The paper's "any two faults" claim checked exactly on every Table I
+/// chip: all 1704 x 1703 ordered pairs on 30x30 included.
+#[test]
+#[ignore = "plan generation on the large arrays dominates debug runs; run with `cargo test --release -- --ignored`"]
+fn two_fault_guarantee_exhaustive_all_table1() {
+    for entry in layouts::table1() {
+        let plan = Atpg::new().generate(&entry.fpva).unwrap();
+        let suite = plan.to_suite(&entry.fpva);
+        let report = audit::two_fault_audit(&entry.fpva, &suite, 0);
+        let nv = entry.fpva.valve_count();
+        assert_eq!(report.total, nv * (nv - 1), "{}", entry.name);
+        assert!(
+            report.is_complete(),
+            "{}: masked pairs: {:?}",
+            entry.name,
+            report.undetected
+        );
+    }
+}
+
 #[test]
 fn two_fault_sampled_15x15() {
     let fpva = layouts::table1_15x15();
