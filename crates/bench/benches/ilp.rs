@@ -5,9 +5,8 @@
 //! isolation from branch-and-bound.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fpva_atpg::ilp_model::{cover_model, min_path_cover_ilp, symmetry_generators, PathIlpConfig};
+use fpva_atpg::ilp_model::{min_path_cover_ilp, PathIlpConfig};
 use fpva_grid::layouts;
-use fpva_ilp::analyze::{analyze, AnalyzeOptions};
 use fpva_ilp::fixtures;
 use fpva_ilp::simplex::SparseLp;
 use std::hint::black_box;
@@ -92,36 +91,10 @@ fn bench_dual_resolves(c: &mut Criterion) {
     group.finish();
 }
 
-/// The root static analysis in isolation: conflict graph + probing +
-/// orbit construction over the full-array cover models branch-and-bound
-/// actually searches. This is a once-per-solve cost, so it only has to
-/// stay well under one node LP re-solve to be free in practice.
-fn bench_root_analyze(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ilp_analyze");
-    group.sample_size(20);
-    for n in [4usize, 5] {
-        let f = layouts::full_array(n, n);
-        let model = cover_model(&f, 2);
-        let gens = symmetry_generators(&f, 2);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{n}x{n}_k2")),
-            &(model, gens),
-            |b, (model, gens)| {
-                b.iter(|| {
-                    let a = analyze(black_box(model), gens, &AnalyzeOptions::default());
-                    black_box(a.stats.conflict_edges)
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_exact_cover,
     bench_lu_warm_start_chain,
-    bench_dual_resolves,
-    bench_root_analyze
+    bench_dual_resolves
 );
 criterion_main!(benches);

@@ -98,7 +98,6 @@ fn main() {
         .map(|n| (format!("{n}x{n}"), layouts::full_array(n, n)))
         .chain(std::iter::once(("table1_5x5".to_string(), channelled)))
         .collect();
-    let mut analysis_rows = Vec::new();
     for (name, f) in blocks {
         let t0 = Instant::now();
         let (res, stats) = min_path_cover_ilp_with_stats(&f, &PathIlpConfig::default());
@@ -123,40 +122,6 @@ fn main() {
             stats.dual_pivots,
             stats.warm_resolves,
             stats.cold_restarts
-        );
-        analysis_rows.push((name, stats));
-    }
-
-    // The root static analysis of the same probes, reported separately so
-    // neither table needs a pager: what the conflict graph, probing and
-    // symmetry detection actually found on each block.
-    println!("\n== Ablation 1b (analysis): root static analysis per block ==");
-    println!(
-        "{:<10} | {:>7} | {:>4} | {:>5} | {:>5} | {:>6} | {:>7} | {:>9} | {:>8} | {:>8}",
-        "block",
-        "a-probe",
-        "fix",
-        "impl",
-        "lift",
-        "edges",
-        "orbits",
-        "orbit-var",
-        "sym-fix",
-        "cert-fix"
-    );
-    for (name, stats) in analysis_rows {
-        println!(
-            "{:<10} | {:>7} | {:>4} | {:>5} | {:>5} | {:>6} | {:>7} | {:>9} | {:>8} | {:>8}",
-            name,
-            stats.analysis_probes,
-            stats.probe_fixings,
-            stats.implications,
-            stats.lifted_bounds,
-            stats.conflict_edges,
-            stats.orbit_count,
-            stats.orbit_vars,
-            stats.orbit_fixings,
-            stats.certificate_fixings
         );
     }
 

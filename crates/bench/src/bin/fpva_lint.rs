@@ -24,6 +24,10 @@
 //! * `--json` — machine-readable output: one JSON object with the
 //!   diagnostics array, per-severity counts and the exit code.
 //!
+//! `--allow` and `--only` take a name from `lint::CHECKS`; any other name
+//! is a usage error (exit code 2), so a typo cannot silently empty the
+//! gate.
+//!
 //! Diagnostics print in a deterministic order: severity (worst first),
 //! then subject, then check, then message text — independent of the
 //! order the passes ran in.
@@ -33,7 +37,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use fpva_bench::lint::{self, Diagnostic, Severity};
+use fpva_bench::lint::{self, Diagnostic, Severity, CHECKS};
 use fpva_grid::layouts;
 
 /// Wall-clock budget per certified solver probe under `--certify`. At
@@ -63,22 +67,13 @@ fn parse_args() -> Result<Options, String> {
             "--certify" => opts.certify = true,
             "--deny-warnings" => opts.deny_warnings = true,
             "--json" => opts.json = true,
-            "--allow" => {
-                let check = args
-                    .next()
-                    .ok_or_else(|| "--allow needs a check name".to_string())?;
-                opts.allow.push(check);
-            }
-            "--only" => {
-                let check = args
-                    .next()
-                    .ok_or_else(|| "--only needs a check name".to_string())?;
-                opts.only.push(check);
-            }
+            "--allow" => opts.allow.push(check_arg(&arg, args.next())?),
+            "--only" => opts.only.push(check_arg(&arg, args.next())?),
             "--help" | "-h" => {
                 println!(
                     "usage: fpva-lint [--certify] [--deny-warnings] [--allow <check>]... \
-                     [--only <check>]... [--json]"
+                     [--only <check>]... [--json]\nchecks: {}",
+                    CHECKS.join(", ")
                 );
                 std::process::exit(0);
             }
@@ -86,6 +81,19 @@ fn parse_args() -> Result<Options, String> {
         }
     }
     Ok(opts)
+}
+
+/// The check name following `flag`, which must be one of [`CHECKS`].
+fn check_arg(flag: &str, value: Option<String>) -> Result<String, String> {
+    let check = value.ok_or_else(|| format!("{flag} needs a check name"))?;
+    if CHECKS.contains(&check.as_str()) {
+        Ok(check)
+    } else {
+        Err(format!(
+            "unknown check {check:?} for {flag} (checks: {})",
+            CHECKS.join(", ")
+        ))
+    }
 }
 
 /// Escapes `s` for inclusion in a JSON string literal.
@@ -160,7 +168,6 @@ fn main() -> ExitCode {
         // valves).
         let k = fpva_atpg::ilp_model::min_cover_paths(fpva);
         diags.extend(lint::lint_model(name, fpva, k));
-        diags.extend(lint::lint_analysis(name, fpva, k));
         if opts.certify {
             diags.extend(lint::certify_models(name, fpva, PROBE_BUDGET));
         }

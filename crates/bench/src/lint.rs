@@ -44,6 +44,21 @@ impl fmt::Display for Severity {
     }
 }
 
+/// Every check name a lint pass can emit. `fpva-lint --only` and
+/// `--allow` accept exactly these names and reject anything else.
+pub const CHECKS: &[&str] = &[
+    "ports",
+    "connectivity",
+    "flow-paths",
+    "cut-cover",
+    "leak-observability",
+    "model-shape",
+    "numerics",
+    "presolve",
+    "path-dominance",
+    "certify",
+];
+
 /// One finding of a lint pass over a chip or a cover model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -51,7 +66,8 @@ pub struct Diagnostic {
     pub severity: Severity,
     /// The chip or model the finding is about (e.g. `"table1_5x5"`).
     pub subject: String,
-    /// Short machine-readable check name (e.g. `"cut-cover"`).
+    /// Short machine-readable check name (e.g. `"cut-cover"`), one of
+    /// [`CHECKS`].
     pub check: &'static str,
     /// Human-readable description, with coordinates where applicable.
     pub message: String,
@@ -287,82 +303,6 @@ pub fn lint_model(name: &str, fpva: &Fpva, k: usize) -> Vec<Diagnostic> {
             ),
         ),
     }
-
-    out
-}
-
-/// Statically audits the root-analysis surface of the `k`-path cover
-/// model: conflict-graph density and symmetry-orbit structure.
-///
-/// Both checks are **structural only** — probing is disabled
-/// (`probe_cap = 0`), so the pass stays cheap even on the 30×30 Table I
-/// chip. `conflict-density` summarises the set-packing shape the solver's
-/// clique table will see. `symmetry` runs the grid-automorphism survey:
-/// every dihedral map compatible with the chip is lifted to a signed
-/// variable permutation and *verified structurally* on the model — a
-/// chip-compatible candidate the model rejects is a warning, because the
-/// cover model then breaks a symmetry the chip itself appears to have
-/// (usually a modelling bug, and always a lost pruning opportunity).
-pub fn lint_analysis(name: &str, fpva: &Fpva, k: usize) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let mut push = |severity, check, message: String| {
-        out.push(Diagnostic {
-            severity,
-            subject: name.to_string(),
-            check,
-            message,
-        });
-    };
-
-    let model = ilp_model::cover_model(fpva, k);
-    let analysis = fpva_ilp::analyze::analyze(
-        &model,
-        &[],
-        &fpva_ilp::AnalyzeOptions {
-            certify: false,
-            probe_cap: 0,
-        },
-    );
-    let s = analysis.stats;
-    let possible = s.binaries.saturating_mul(s.binaries.saturating_sub(1)) / 2;
-    let density = if possible == 0 {
-        0.0
-    } else {
-        s.conflict_edges as f64 / possible as f64
-    };
-    push(
-        Severity::Info,
-        "conflict-density",
-        format!(
-            "k={k}: {} binaries, {} structural conflict edge(s) (density {:.2e}), \
-             {} clique(s), largest {}",
-            s.binaries, s.conflict_edges, density, s.cliques, s.max_clique
-        ),
-    );
-
-    let rep = ilp_model::symmetry_report(fpva, k);
-    if rep.rejected > 0 {
-        push(
-            Severity::Warning,
-            "symmetry",
-            format!(
-                "k={k}: {} of {} chip-compatible grid map(s) failed structural \
-                 verification on the cover model (the model breaks a symmetry \
-                 the chip has)",
-                rep.rejected,
-                rep.rejected + rep.verified
-            ),
-        );
-    }
-    push(
-        Severity::Info,
-        "symmetry",
-        format!(
-            "k={k}: {} dihedral candidate(s), {} verified generator(s); \
-             {} orbit(s) covering {} of {} binaries",
-            rep.candidates, rep.verified, rep.orbit_count, rep.orbit_vars, rep.binaries
-        ),
-    );
 
     out
 }
@@ -795,6 +735,42 @@ mod tests {
                 .any(|d| d.message.contains("cover uses 2 path(s)")),
             "expected a two-path certified cover: {diags:?}"
         );
+    }
+
+    #[test]
+    fn every_emitted_check_is_listed() {
+        use fpva_grid::{FpvaBuilder, PortKind, Side};
+        let portless = FpvaBuilder::new(3, 3).build().unwrap();
+        let dominated = FpvaBuilder::new(1, 4)
+            .port(0, 0, Side::West, PortKind::Source)
+            .port(0, 2, Side::North, PortKind::Sink)
+            .port(0, 3, Side::East, PortKind::Sink)
+            .build()
+            .unwrap();
+        // The chips `fpva-lint` audits, plus two that reach the error and
+        // dominance findings no shipped chip triggers.
+        let mut chips: Vec<(String, Fpva)> = layouts::table1()
+            .into_iter()
+            .map(|e| (format!("table1_{}", e.name), e.fpva))
+            .chain(example_chips().into_iter().map(|(n, f)| (n.to_string(), f)))
+            .collect();
+        chips.push(("dominated".to_string(), dominated));
+        let mut diags = lint_chip("portless", &portless);
+        for (name, f) in &chips {
+            diags.extend(lint_chip(name, f));
+            diags.extend(lint_paths(name, f));
+            diags.extend(lint_model(name, f, ilp_model::min_cover_paths(f)));
+        }
+        // Certifying the shipped chips takes minutes; the 2x2 reaches the
+        // same `certify` check.
+        diags.extend(certify_models(
+            "full_2x2",
+            &layouts::full_array(2, 2),
+            Duration::from_secs(60),
+        ));
+        for d in &diags {
+            assert!(CHECKS.contains(&d.check), "unlisted check: {d}");
+        }
     }
 
     #[test]

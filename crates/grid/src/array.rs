@@ -31,7 +31,7 @@ pub enum CellKind {
 }
 
 /// Whether a boundary port injects or observes pressure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PortKind {
     /// Air-pressure source connected to the flow layer.
     Source,

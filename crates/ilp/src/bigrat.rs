@@ -4,8 +4,7 @@
 //! original model in *exact* arithmetic, so it cannot use `f64`. This module
 //! provides the minimal bignum rational it needs: a sign plus little-endian
 //! `Vec<u64>` limb magnitudes for numerator and denominator, with addition,
-//! subtraction, multiplication, division, floor/ceil (for replaying
-//! integer bound propagation exactly), comparison and a binary GCD for
+//! subtraction, multiplication, comparison and a binary GCD for
 //! normalisation. There is deliberately no serialisation and no
 //! dependency — the whole module is safe, portable Rust.
 //!
@@ -17,7 +16,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::ops::{Add, Div, Mul, Neg, Sub};
+use std::ops::{Add, Mul, Neg, Sub};
 
 // ---------------------------------------------------------------------------
 // Limb-vector helpers. Magnitudes are little-endian `Vec<u64>` with no
@@ -376,34 +375,6 @@ impl BigRat {
         }
     }
 
-    /// The multiplicative inverse. Panics on zero (certification treats a
-    /// zero divisor as a malformed certificate before ever dividing).
-    pub fn recip(&self) -> Self {
-        assert!(!self.is_zero(), "BigRat::recip of zero");
-        BigRat {
-            neg: self.neg,
-            num: self.den.clone(),
-            den: self.num.clone(),
-        }
-    }
-
-    /// The largest integer `≤ self`, as an exact rational.
-    pub fn floor(&self) -> Self {
-        let (quo, rem) = divrem_mag(&self.num, &self.den);
-        if !self.neg {
-            BigRat::from_parts(false, quo, vec![1])
-        } else if rem.is_empty() {
-            BigRat::from_parts(true, quo, vec![1])
-        } else {
-            BigRat::from_parts(true, add_mag(&quo, &[1]), vec![1])
-        }
-    }
-
-    /// The smallest integer `≥ self`, as an exact rational.
-    pub fn ceil(&self) -> Self {
-        -&(-self).floor()
-    }
-
     fn signed_cmp(&self, other: &Self) -> Ordering {
         match (self.neg, other.neg) {
             (false, true) => Ordering::Greater,
@@ -420,33 +391,27 @@ impl BigRat {
     }
 }
 
-/// Exact division `a / g` where `g` is known to divide `a`.
+/// Exact division `a / g` where `g` is known to divide `a`. Implemented as
+/// schoolbook long division limb by limb via repeated `divrem_small` when
+/// `g` is one limb, and binary long division otherwise.
 fn divide_exact(a: &[u64], g: &[u64]) -> Vec<u64> {
-    let (quo, rem) = divrem_mag(a, g);
-    debug_assert!(rem.is_empty(), "divide_exact divisor must divide exactly");
-    quo
-}
-
-/// Truncating division of magnitudes: returns `(a / g, a % g)` with
-/// `g != 0`. Schoolbook via [`divrem_small`] when `g` is one limb, binary
-/// long division (subtracting shifted copies of `g`) otherwise.
-fn divrem_mag(a: &[u64], g: &[u64]) -> (Vec<u64>, Vec<u64>) {
-    debug_assert!(!g.is_empty());
     if g == [1] {
-        return (a.to_vec(), Vec::new());
+        return a.to_vec();
     }
     if g.len() == 1 {
         let (q, r) = divrem_small(a, g[0]);
-        let rem = if r == 0 { Vec::new() } else { vec![r] };
-        return (q, rem);
+        debug_assert_eq!(r, 0);
+        return q;
     }
+    // Binary long division: subtract shifted copies of g.
     let mut rem = a.to_vec();
     trim(&mut rem);
     let mut quo: Vec<u64> = Vec::new();
     let bits_a = mag_bits(&rem);
     let bits_g = mag_bits(g);
     if bits_a < bits_g {
-        return (Vec::new(), rem);
+        debug_assert!(rem.is_empty());
+        return Vec::new();
     }
     let mut shift = bits_a - bits_g;
     loop {
@@ -460,8 +425,9 @@ fn divrem_mag(a: &[u64], g: &[u64]) -> (Vec<u64>, Vec<u64>) {
         }
         shift -= 1;
     }
+    debug_assert!(rem.is_empty(), "divide_exact divisor must divide exactly");
     trim(&mut quo);
-    (quo, rem)
+    quo
 }
 
 fn mag_bits(v: &[u64]) -> u64 {
@@ -526,17 +492,6 @@ impl Mul for &BigRat {
             mul_mag(&self.num, &rhs.num),
             mul_mag(&self.den, &rhs.den),
         )
-    }
-}
-
-impl Div for &BigRat {
-    type Output = BigRat;
-
-    // Division *is* multiplication by the reciprocal here; the lint
-    // only sees the operator mismatch.
-    #[allow(clippy::suspicious_arithmetic_impl)]
-    fn div(self, rhs: &BigRat) -> BigRat {
-        self * &rhs.recip()
     }
 }
 
@@ -656,42 +611,6 @@ mod tests {
         let q = r(tiny);
         assert!(q.is_positive());
         assert_eq!(&q + &q, r(2.0 * tiny));
-    }
-
-    #[test]
-    fn division_and_reciprocal() {
-        let a = r(0.75);
-        let b = r(-2.5);
-        assert_eq!(&(&a / &b) * &b, a);
-        assert_eq!(&a * &a.recip(), BigRat::one());
-        assert_eq!((&b / &b), BigRat::one());
-        let third = &BigRat::one() / &BigRat::from_i64(3);
-        assert_eq!((&third + &(&third + &third)), BigRat::one());
-    }
-
-    #[test]
-    fn floor_and_ceil_cover_signs() {
-        let cases = [
-            (2.5, 2, 3),
-            (-2.5, -3, -2),
-            (2.0, 2, 2),
-            (-2.0, -2, -2),
-            (0.0, 0, 0),
-            (0.25, 0, 1),
-            (-0.25, -1, 0),
-        ];
-        for (v, fl, ce) in cases {
-            assert_eq!(r(v).floor(), BigRat::from_i64(fl), "floor({v})");
-            assert_eq!(r(v).ceil(), BigRat::from_i64(ce), "ceil({v})");
-        }
-        // A multi-limb case: 2^128 ≡ 1 (mod 3), so floor(2^128/3)·3 + 1
-        // must reconstruct 2^128 exactly.
-        let x = &r(2f64.powi(128)) / &BigRat::from_i64(3);
-        assert_eq!(
-            &(&x.floor() * &BigRat::from_i64(3)) + &BigRat::one(),
-            r(2f64.powi(128))
-        );
-        assert_eq!(&x.ceil() - &x.floor(), BigRat::one());
     }
 
     #[test]

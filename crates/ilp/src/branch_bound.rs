@@ -1,6 +1,5 @@
 //! Branch-and-bound driver on top of the simplex relaxation.
 
-use crate::analyze::{self, Analysis, AnalyzeOptions, SignedPerm};
 use crate::certify::{LeafCert, MilpCertificate, NodeCert};
 use crate::error::IlpError;
 use crate::model::{Model, Sense, VarKind};
@@ -45,30 +44,16 @@ pub struct MilpOptions {
     /// original model. Off by default — proof logging costs memory
     /// (duals per leaf) and some speed.
     pub certificate: bool,
-    /// Run the static [`crate::analyze::analyze`] pass at the root
-    /// (default `true`): conflict-graph extraction, 0/1 probing with
-    /// implied fixings, and symmetry-orbit handling. In certificate mode
-    /// probing fixings are logged into the proof
-    /// ([`MilpCertificate::analysis`]) and re-derived exactly by the
-    /// audit; unlogged deduction classes are disabled there.
-    pub analyze: bool,
-    /// Signed variable permutations over the **original** model claimed
-    /// to be automorphisms (`perm[i] = (σ(i), flip)` maps solutions by
-    /// `x'[σ(i)] = ±x[i]`). Each claim is pushed through the presolve
-    /// mapping and *structurally re-verified* on the searched model
-    /// before use — a wrong or presolve-broken claim is silently dropped
-    /// (counted in [`crate::AnalysisStats::rejected_generators`]), never
-    /// trusted. Verified generators drive orbit-aware branching and
-    /// orbit fixing propagation.
+    /// Inert: kept only so the benchmark harness, which fills it from
+    /// `ilp_model::symmetry_generators`, keeps compiling. The solver
+    /// ignores it.
     pub symmetry: Vec<SignedPerm>,
-    /// Materialise the analysis conflict graph as clique-cut rows
-    /// `xₐ + x_b ≤ 1` in the LP relaxation (off by default). The cuts
-    /// are always valid, but on models with only a handful of conflict
-    /// edges they can reroute a `stop_at_first` dive for better or
-    /// worse; measure before enabling. Ignored in certificate mode (a
-    /// cut row is a deduction the exact audit would have to trust).
-    pub clique_cuts: bool,
 }
+
+/// A signed variable permutation, entry `i` holding `(σ(i), flip)`.
+/// Inert: kept only as the type of [`MilpOptions::symmetry`] for the
+/// benchmark harness; nothing in the solver reads one.
+pub type SignedPerm = Vec<(usize, bool)>;
 
 impl Default for MilpOptions {
     fn default() -> Self {
@@ -80,9 +65,7 @@ impl Default for MilpOptions {
             stop_at_first: false,
             presolve: true,
             certificate: false,
-            analyze: true,
             symmetry: Vec::new(),
-            clique_cuts: false,
         }
     }
 }
@@ -139,30 +122,6 @@ impl MilpSolver {
     #[must_use]
     pub fn certificate(mut self, enabled: bool) -> Self {
         self.options.certificate = enabled;
-        self
-    }
-
-    /// Enables or disables the static root analysis pass (on by
-    /// default); see [`MilpOptions::analyze`].
-    #[must_use]
-    pub fn analyze(mut self, enabled: bool) -> Self {
-        self.options.analyze = enabled;
-        self
-    }
-
-    /// Supplies symmetry generators of the original model; see
-    /// [`MilpOptions::symmetry`].
-    #[must_use]
-    pub fn symmetry(mut self, generators: Vec<SignedPerm>) -> Self {
-        self.options.symmetry = generators;
-        self
-    }
-
-    /// Enables or disables conflict-graph clique cuts (off by default);
-    /// see [`MilpOptions::clique_cuts`].
-    #[must_use]
-    pub fn clique_cuts(mut self, enabled: bool) -> Self {
-        self.options.clique_cuts = enabled;
         self
     }
 
@@ -289,76 +248,13 @@ impl MilpSolver {
         // engine declined to certify); the tree is then incomplete.
         let mut cert_failed = false;
 
-        // Static root analysis: conflict graph, probing, symmetry orbits.
-        // Caller-supplied symmetry generators describe the *original*
-        // model; push them through the presolve mapping and re-verify
-        // structurally on the model actually searched — presolve may
-        // legitimately break a symmetry, and an unverified claim must
-        // never influence the search.
-        let analysis = if self.options.analyze {
-            let mut rejected = 0usize;
-            let mut gens: Vec<SignedPerm> = Vec::new();
-            for g in &self.options.symmetry {
-                let mapped = match postsolve {
-                    Some(p) => map_generator(g, p.forward(), n),
-                    None => (g.len() == n).then(|| g.clone()),
-                };
-                match mapped {
-                    Some(m) if analyze::verify_automorphism(model, &m) => gens.push(m),
-                    _ => rejected += 1,
-                }
-            }
-            let mut a = analyze::analyze(
-                model,
-                &gens,
-                &AnalyzeOptions {
-                    certify: cert_on,
-                    ..AnalyzeOptions::default()
-                },
-            );
-            a.stats.rejected_generators = rejected;
-            a
-        } else {
-            Analysis::trivial(model)
-        };
-
-        // Clique cuts: every conflict edge `(a, b)` yields the valid
-        // inequality `xₐ + x_b ≤ 1` (both are binaries that cannot be 1
-        // together). The cuts tighten every node's LP relaxation; they
-        // are appended to a solve-local copy of the model so presolve
-        // mappings, certificates and the reported model stay untouched.
-        // Certify mode runs cut-free: a cut row is an unproved deduction
-        // the exact audit would otherwise have to trust.
-        // Clique cuts (opt-in): every conflict edge `(a, b)` yields the
-        // valid inequality `xₐ + x_b ≤ 1`. They tighten every node's LP,
-        // but on the sparse-conflict cover models they also reshape the
-        // relaxation's optimal face — which reroutes the stop-at-first
-        // dive, sometimes drastically in either direction (see the
-        // ablation table in the bench crate). Hence an explicit knob
-        // rather than a default. The cuts go into a solve-local copy of
-        // the model so presolve mappings, certificates and the reported
-        // model stay untouched; certify mode runs cut-free — a cut row
-        // is a deduction the exact audit would otherwise have to trust.
-        let cut_model: Option<Model> =
-            (self.options.clique_cuts && !cert_on && !analysis.edges.is_empty()).then(|| {
-                let mut m = model.clone();
-                for &(a, b) in &analysis.edges {
-                    let mut cut = crate::expr::LinExpr::new();
-                    cut.add_term(crate::expr::VarId(a), 1.0);
-                    cut.add_term(crate::expr::VarId(b), 1.0);
-                    m.add_leq(cut, 1.0);
-                }
-                m
-            });
-        let lp_model: &Model = cut_model.as_ref().unwrap_or(model);
-
         // The constraint matrix is lowered to CSC exactly once; every
         // node then re-solves the same prepared LP under tightened bound
         // vectors (the dense-tableau solver used to re-clone the full row
         // set per node). A single engine persists across all nodes so a
         // DFS child popped right after its parent reuses the live
         // factorization and pricing weights.
-        let (lp, mut base_lower, mut base_upper) = lp_model.to_sparse_lp();
+        let (lp, base_lower, base_upper) = model.to_sparse_lp();
         let mut engine = lp.engine();
         let obj_constant = model.objective().constant();
         engine.set_certify(cert_on);
@@ -367,31 +263,8 @@ impl MilpSolver {
             presolve_rows: pstats.rows_removed,
             presolve_cols: pstats.cols_removed,
             presolve_tightenings: pstats.tightenings,
-            analysis: analysis.stats,
             ..SolveStats::default()
         };
-        if analysis.infeasible {
-            // Probing found a binary with no feasible value: both
-            // propagations emptied a domain — exact interval arithmetic,
-            // same trust level as a presolve verdict. (Never set in
-            // certify mode; there the fixing is logged and the tree
-            // carries the proof.)
-            stats.elapsed = start.elapsed();
-            stats.best_bound = sign * f64::NEG_INFINITY;
-            return MilpOutcome {
-                status: SolveStatus::Infeasible,
-                best: None,
-                stats,
-                certificate: None,
-            };
-        }
-        // Fold the analysis deductions (probing fixings; plus lifted
-        // bounds and orbit fixings outside certify mode) into the root
-        // box every node inherits.
-        for j in 0..n {
-            base_lower[j] = base_lower[j].max(analysis.lower[j]);
-            base_upper[j] = base_upper[j].min(analysis.upper[j]);
-        }
         let mut incumbent: Option<(f64, Vec<f64>)> = None; // (min-form obj, values)
                                                            // The user-facing incumbent value includes the objective constant
                                                            // (which presolve grows by every fixed variable's contribution);
@@ -526,39 +399,19 @@ impl MilpSolver {
                 continue;
             }
 
-            // Branching: most-fractional first; conflict degree and
-            // symmetry-orbit representatives break exact fractionality
-            // ties only (deciding an entangled binary settles its whole
-            // clique's LP mass; a representative's subtree subsumes its
-            // mates' up to automorphism). Keeping fractionality the
-            // primary key preserves the tuned tree shape on models whose
-            // conflict graph is sparse. Ordering preferences can never
-            // invalidate a proof, so this stays active in certify mode.
-            let mut branch: Option<(usize, f64, f64, u32, bool)> = None;
+            // Branching: most-fractional first; the first index wins ties.
+            let mut branch: Option<(usize, f64, f64)> = None;
             for (j, &integer_var) in is_int.iter().enumerate().take(n) {
                 if !integer_var {
                     continue;
                 }
                 let v = sol.x[j];
                 let dist = (v - v.round()).abs();
-                if dist <= tol {
-                    continue;
-                }
-                let degree = analysis.degree[j];
-                let rep = analysis.orbit_rep[j];
-                let better = match branch {
-                    None => true,
-                    Some((_, _, bd, bdeg, brep)) => {
-                        dist > bd
-                            || (dist == bd && (degree > bdeg || (degree == bdeg && rep && !brep)))
-                    }
-                };
-                if better {
-                    branch = Some((j, v, dist, degree, rep));
+                if dist > tol && branch.is_none_or(|(_, _, bd)| dist > bd) {
+                    branch = Some((j, v, dist));
                 }
             }
-            let branch = branch.map(|(j, v, _, _, _)| (j, v));
-            let Some((j, v)) = branch else {
+            let Some((j, v, _)) = branch else {
                 // Integral: candidate incumbent.
                 let mut values = sol.x.clone();
                 for (x, &int) in values.iter_mut().zip(&is_int) {
@@ -620,13 +473,7 @@ impl MilpSolver {
             down.1[j] = floor;
             let mut up = (lower, upper, parent_basis, up_id);
             up.0[j] = floor + 1.0;
-            // Conflict-involved binaries explore the 1-side first even
-            // when the LP leans to 0: setting the entangled value is what
-            // settles the variable's clique (its mates propagate to 0),
-            // so the dive learns the most from that side. Everything else
-            // keeps the classic nearer-side-first order.
-            let up_first = analysis.degree[j] > 0 || v - floor > 0.5;
-            if up_first {
+            if v - floor > 0.5 {
                 stack.push(down);
                 stack.push(up);
             } else {
@@ -654,7 +501,6 @@ impl MilpSolver {
         let certificate = cert_on.then(|| MilpCertificate {
             reduced: model.clone(),
             presolve: postsolve.map(Postsolve::certificate),
-            analysis: analysis.fixings.clone(),
             tree: std::mem::take(&mut tree),
             incumbent_reduced: incumbent.as_ref().map(|(_, v)| v.clone()),
             initial_cutoff: self
@@ -686,38 +532,6 @@ impl MilpSolver {
             certificate,
         }
     }
-}
-
-/// Pushes a signed permutation over the original variables through the
-/// presolve forward map. `None` when the permutation does not respect
-/// the eliminated set (a kept variable mapping to an eliminated one or
-/// vice versa) — presolve legitimately breaks such symmetries and the
-/// generator is simply dropped.
-fn map_generator(
-    g: &[(usize, bool)],
-    forward: &[Option<usize>],
-    reduced_n: usize,
-) -> Option<Vec<(usize, bool)>> {
-    if g.len() != forward.len() {
-        return None;
-    }
-    let mut out: Vec<Option<(usize, bool)>> = vec![None; reduced_n];
-    for (i, &(j, flip)) in g.iter().enumerate() {
-        if j >= forward.len() {
-            return None;
-        }
-        match (forward[i], forward[j]) {
-            (Some(ri), Some(rj)) => {
-                if out[ri].is_some() {
-                    return None;
-                }
-                out[ri] = Some((rj, flip));
-            }
-            (None, None) => {}
-            _ => return None,
-        }
-    }
-    out.into_iter().collect()
 }
 
 #[cfg(test)]

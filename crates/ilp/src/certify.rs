@@ -157,11 +157,6 @@ pub struct MilpCertificate {
     /// Presolve reduction record (`None` when the tree ran on the
     /// original model).
     pub presolve: Option<PresolveCertificate>,
-    /// Root-analysis probing log: fixings derived by 0/1 probing on the
-    /// reduced model, in derivation order. Each is re-derived by exact
-    /// rational interval propagation during the audit, then folded into
-    /// the base bounds the tree proof is checked under.
-    pub analysis: Vec<crate::analyze::ProbeFixing>,
     /// The branching tree; index 0 is the root.
     pub tree: Vec<NodeCert>,
     /// The final incumbent in reduced-model variable space.
@@ -184,8 +179,6 @@ pub struct CertifySummary {
     pub leaves: usize,
     /// Presolve actions audited.
     pub actions: usize,
-    /// Root-analysis probing fixings re-derived exactly.
-    pub probe_fixings: usize,
 }
 
 // ---------------------------------------------------------------------------
@@ -297,14 +290,6 @@ pub enum CertifyError {
         /// Replayed vs reported value.
         detail: String,
     },
-    /// A root-analysis probing fixing could not be re-derived by exact
-    /// interval propagation (or is malformed).
-    Analysis {
-        /// Index into the certificate's probing log.
-        index: usize,
-        /// What failed.
-        detail: String,
-    },
     /// Optimality/infeasibility is claimed but the tree is incomplete
     /// (a node, time or iteration limit fired).
     Incomplete,
@@ -364,9 +349,6 @@ impl fmt::Display for CertifyError {
             },
             CertifyError::IncumbentMismatch { var, detail } => {
                 write!(f, "postsolve replay disagrees at variable {var}: {detail}")
-            }
-            CertifyError::Analysis { index, detail } => {
-                write!(f, "analysis fixing {index} rejected: {detail}")
             }
             CertifyError::Incomplete => {
                 write!(f, "terminal verdict claimed on an incomplete tree")
@@ -774,21 +756,9 @@ pub fn certify_outcome(
     }
 
     let reduced_rm = RatModel::build(&cert.reduced)?;
-    let (mut base_lower, mut base_upper): (Vec<f64>, Vec<f64>) = (0..cert.reduced.var_count())
+    let (base_lower, base_upper): (Vec<f64>, Vec<f64>) = (0..cert.reduced.var_count())
         .map(|j| cert.reduced.var_bounds(crate::expr::VarId(j)))
         .unzip();
-
-    // Root-analysis audit: re-derive every probing fixing by exact
-    // interval propagation, folding each into the base bounds in
-    // derivation order — the incumbent check and the tree walk below
-    // then run under exactly the box the solver searched.
-    summary.probe_fixings = cert.analysis.len();
-    audit_analysis(
-        &reduced_rm,
-        &mut base_lower,
-        &mut base_upper,
-        &cert.analysis,
-    )?;
 
     // Incumbent: replay the postsolve, then re-check everything exactly
     // against the original model.
@@ -893,182 +863,6 @@ pub fn certify_outcome(
         )?;
     }
     Ok(summary)
-}
-
-/// Audits the root-analysis probing log. Each [`ProbeFixing`] claims
-/// that fixing `var` to `probed` propagates to an empty domain, and that
-/// `{probed, value}` are exactly the two points of the variable's
-/// current domain — so every feasible point has `var = value`. The claim
-/// is re-derived by [`exact_probe_refutes`], the exact-rational mirror
-/// of the f64 presolve propagator: no feasibility tolerance, exact
-/// floor/ceil, and more passes, hence at least as strong as the pass
-/// that made the deduction. A fixing that fails to re-derive rejects the
-/// whole certificate; one that succeeds is folded into the base bounds
-/// before the next is audited (probing chains through earlier fixings).
-fn audit_analysis(
-    rm: &RatModel,
-    base_lower: &mut [f64],
-    base_upper: &mut [f64],
-    fixings: &[crate::analyze::ProbeFixing],
-) -> Result<(), CertifyError> {
-    for (index, fx) in fixings.iter().enumerate() {
-        let fail = |detail: String| CertifyError::Analysis { index, detail };
-        if fx.var >= rm.n {
-            return Err(fail(format!("variable {} out of range", fx.var)));
-        }
-        if !fx.value.is_finite() || !fx.probed.is_finite() {
-            return Err(fail("non-finite fixing value".to_string()));
-        }
-        if !rm.is_int[fx.var] {
-            return Err(fail(format!("variable {} is not integer", fx.var)));
-        }
-        // Refuting `probed` only proves `value` when those are the only
-        // two points of the current (integer) domain.
-        let (lb, ub) = (base_lower[fx.var], base_upper[fx.var]);
-        let two_point_domain = fx.value.fract() == 0.0
-            && fx.probed.fract() == 0.0
-            && (fx.value - fx.probed).abs() == 1.0
-            && fx.value.min(fx.probed) == lb
-            && fx.value.max(fx.probed) == ub;
-        if !two_point_domain {
-            return Err(fail(format!(
-                "domain [{lb}, {ub}] of variable {} is not exactly {{{}, {}}}",
-                fx.var, fx.probed, fx.value
-            )));
-        }
-        let mut lo: Vec<Option<BigRat>> = base_lower.iter().map(|&b| BigRat::from_f64(b)).collect();
-        let mut up: Vec<Option<BigRat>> = base_upper.iter().map(|&b| BigRat::from_f64(b)).collect();
-        lo[fx.var] = BigRat::from_f64(fx.probed);
-        up[fx.var] = BigRat::from_f64(fx.probed);
-        if !exact_probe_refutes(rm, &mut lo, &mut up) {
-            return Err(fail(format!(
-                "x{} = {} does not propagate to an empty domain, so x{} = {} is unproved",
-                fx.var, fx.probed, fx.var, fx.value
-            )));
-        }
-        base_lower[fx.var] = fx.value;
-        base_upper[fx.var] = fx.value;
-    }
-    Ok(())
-}
-
-/// Exact interval propagation to a verdict: returns `true` when the box
-/// (`None` = unbounded side) provably contains no feasible point. The
-/// algorithm mirrors the f64 `presolve::Propagator` — row activity
-/// bounds detect infeasibility, integer variables are tightened by exact
-/// floor/ceil of the implied bound — but with zero tolerance, any-strict
-/// improvement acceptance, and a higher pass cap, so it dominates every
-/// deduction the f64 pass can soundly make.
-fn exact_probe_refutes(
-    rm: &RatModel,
-    lower: &mut [Option<BigRat>],
-    upper: &mut [Option<BigRat>],
-) -> bool {
-    const PASSES: usize = 24;
-    for _ in 0..PASSES {
-        let mut changed = false;
-        for (terms, op, rhs) in &rm.rows {
-            // Activity bounds with explicit infinity counting; `contrib`
-            // caches each term's min/max contribution for the exclusion
-            // step below.
-            let mut min_fin = BigRat::zero();
-            let mut max_fin = BigRat::zero();
-            let mut min_inf = 0usize;
-            let mut max_inf = 0usize;
-            let mut contrib: Vec<(Option<BigRat>, Option<BigRat>)> =
-                Vec::with_capacity(terms.len());
-            for (v, a) in terms {
-                let neg = a.is_negative();
-                let (min_side, max_side) = if neg {
-                    (&upper[*v], &lower[*v])
-                } else {
-                    (&lower[*v], &upper[*v])
-                };
-                let mn = min_side.as_ref().map(|b| a * b);
-                let mx = max_side.as_ref().map(|b| a * b);
-                match &mn {
-                    Some(x) => min_fin = &min_fin + x,
-                    None => min_inf += 1,
-                }
-                match &mx {
-                    Some(x) => max_fin = &max_fin + x,
-                    None => max_inf += 1,
-                }
-                contrib.push((mn, mx));
-            }
-            let check_low = !matches!(op, ConstraintOp::Geq);
-            let check_high = !matches!(op, ConstraintOp::Leq);
-            if (check_low && min_inf == 0 && min_fin > *rhs)
-                || (check_high && max_inf == 0 && max_fin < *rhs)
-            {
-                return true;
-            }
-            // Integer tightenings from the implied per-variable bound.
-            for (t, (v, a)) in terms.iter().enumerate() {
-                let v = *v;
-                if !rm.is_int[v] || a.is_zero() {
-                    continue;
-                }
-                // ≤ side: a·x ≤ rhs − (min activity of the others).
-                let others_min = match (min_inf, &contrib[t].0) {
-                    (0, Some(own)) => Some(&min_fin - own),
-                    (1, None) => Some(min_fin.clone()),
-                    _ => None,
-                };
-                if check_low {
-                    if let Some(others) = &others_min {
-                        let b = &(rhs - others) / a;
-                        if a.is_negative() {
-                            let cand = b.ceil();
-                            if lower[v].as_ref().is_none_or(|l| cand > *l) {
-                                lower[v] = Some(cand);
-                                changed = true;
-                            }
-                        } else {
-                            let cand = b.floor();
-                            if upper[v].as_ref().is_none_or(|u| cand < *u) {
-                                upper[v] = Some(cand);
-                                changed = true;
-                            }
-                        }
-                    }
-                }
-                // ≥ side: a·x ≥ rhs − (max activity of the others).
-                let others_max = match (max_inf, &contrib[t].1) {
-                    (0, Some(own)) => Some(&max_fin - own),
-                    (1, None) => Some(max_fin.clone()),
-                    _ => None,
-                };
-                if check_high {
-                    if let Some(others) = &others_max {
-                        let b = &(rhs - others) / a;
-                        if a.is_negative() {
-                            let cand = b.floor();
-                            if upper[v].as_ref().is_none_or(|u| cand < *u) {
-                                upper[v] = Some(cand);
-                                changed = true;
-                            }
-                        } else {
-                            let cand = b.ceil();
-                            if lower[v].as_ref().is_none_or(|l| cand > *l) {
-                                lower[v] = Some(cand);
-                                changed = true;
-                            }
-                        }
-                    }
-                }
-                if let (Some(l), Some(u)) = (&lower[v], &upper[v]) {
-                    if l > u {
-                        return true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            return false;
-        }
-    }
-    false
 }
 
 fn original_bounds(model: &Model) -> (Vec<f64>, Vec<f64>) {

@@ -12,7 +12,8 @@
 //!   is factorized,
 //! * a **sparse revised simplex** for the LP relaxations ([`simplex`]),
 //! * a **branch-and-bound** driver ([`MilpSolver`]) with depth-first
-//!   search, most-fractional branching, integral-objective ceiling bounds,
+//!   search, most-fractional branching (lowest index on ties, nearer side
+//!   first), integral-objective ceiling bounds,
 //!   warm-start incumbents, node/time limits.
 //!
 //! # Presolve / postsolve architecture
@@ -46,39 +47,6 @@
 //! unchanged by the whole layer. [`numerics_report`] shares the same
 //! static machinery to flag tiny/huge coefficients and near-parallel
 //! rows before a solve is attempted.
-//!
-//! # Static analysis: conflict graph, probing, orbits
-//!
-//! Between presolve and the tree sits a second static pass,
-//! [`analyze`](mod@analyze), run once on the model the tree will search
-//! (the reduced model when presolve ran). Unlike presolve it never
-//! rewrites the model — it extracts facts:
-//!
-//! * a **conflict graph** over the binaries, built structurally from
-//!   set-packing/GUB-shaped rows (clique detection per row, with a
-//!   clique table) and extended by probing implications; the conflict
-//!   *degree* weights branching towards entangled variables,
-//! * **root probing**: each binary is tentatively fixed to 0 and 1 and
-//!   the presolve interval propagator is run — a side that propagates to
-//!   an empty domain fixes the variable to the other value before the
-//!   root LP; two live sides yield implications and (outside certify
-//!   mode) union-lifted bounds,
-//! * **symmetry orbits**: callers pass signed variable permutations
-//!   ([`MilpOptions::symmetry`]); each is *structurally verified* by
-//!   [`analyze::verify_automorphism`] against the searched model (so a
-//!   wrong claim is dropped, never trusted — presolve may legitimately
-//!   break a symmetry of the original model), then closed into orbits of
-//!   interchangeable binaries. Branching prefers orbit representatives,
-//!   and probing fixings propagate to orbit mates.
-//!
-//! In certify mode every solution-changing deduction must remain
-//! auditable: probing fixings are logged into the certificate
-//! ([`certify::MilpCertificate::analysis`]) and re-derived by
-//! [`certify_outcome`] with exact rational interval propagation, while
-//! lifted bounds and orbit-propagated fixings are disabled (orbit mates
-//! are simply probed individually, so their fixings arrive logged too).
-//! Orbit-aware *branching order* stays active — a branching choice can
-//! never invalidate a proof.
 //!
 //! # Revised-simplex architecture
 //!
@@ -264,7 +232,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analyze;
 pub mod bigrat;
 mod branch_bound;
 pub mod certify;
@@ -280,9 +247,8 @@ pub mod simplex;
 mod solution;
 pub mod sparse;
 
-pub use analyze::{Analysis, AnalysisStats, AnalyzeOptions, ProbeFixing, SignedPerm};
 pub use bigrat::BigRat;
-pub use branch_bound::{MilpOptions, MilpSolver};
+pub use branch_bound::{MilpOptions, MilpSolver, SignedPerm};
 pub use certify::{certify_lp, certify_outcome, CertifyError, CertifySummary, MilpCertificate};
 pub use error::IlpError;
 pub use expr::{LinExpr, SparseVec, VarId};
@@ -290,4 +256,4 @@ pub use model::{ConstraintOp, Model, Sense, VarKind};
 pub use presolve::{
     numerics_report, presolve, NumericsReport, Postsolve, PresolveOutcome, PresolveStats, Presolved,
 };
-pub use solution::{MilpOutcome, Solution, SolveStats, SolveStatus};
+pub use solution::{AnalysisStats, MilpOutcome, Solution, SolveStats, SolveStatus};
