@@ -5,9 +5,11 @@
 //! (2·n_v of them), [`leak_coverage`] every physically adjacent control
 //! leak, and [`two_fault_audit`] every (stuck-at-0, stuck-at-1) pair — the
 //! combination Section III-A identifies as the dangerous mutually masking
-//! case and the paper's "any two faults" guarantee is about. The pairwise
-//! sweep is quadratic in the valve count, so it runs on the same scoped
-//! worker pool ([`crate::exec`]) as the campaign.
+//! case and the paper's "any two faults" guarantee is about. The single
+//! and leak audits are answered from the suite's [`SingleFaultTable`],
+//! one structural pass per vector. The pairwise sweep is quadratic in the
+//! valve count, so it runs on the same scoped worker pool
+//! ([`crate::exec`]) as the campaign.
 
 use crate::bitsim::{BitSimulator, KernelStats, LoweredChip, SimKernel, SingleFaultTable, LANES};
 use crate::exec;
@@ -57,16 +59,39 @@ pub fn single_fault_coverage(fpva: &Fpva, suite: &TestSuite) -> CoverageReport<F
 /// [`single_fault_coverage`] on an explicit kernel. `total`/`undetected`
 /// are identical for both kernels; the scalar path is the differential
 /// oracle.
+///
+/// The bit-parallel kernel reads the answer off the suite's
+/// [`SingleFaultTable`]: a stuck-at-0 on `v` is detected iff some vector
+/// commands `v` open and exposes it, a stuck-at-1 iff some vector commands
+/// `v` closed and exposes it.
 pub fn single_fault_coverage_with(
     fpva: &Fpva,
     suite: &TestSuite,
     kernel: SimKernel,
 ) -> CoverageReport<Fault> {
-    let universe: Vec<Fault> = fpva
+    let stuck_at = |v| [Fault::StuckAt0(v), Fault::StuckAt1(v)];
+    if kernel == SimKernel::Scalar {
+        let universe = fpva.valves().flat_map(|(v, _)| stuck_at(v)).collect();
+        return scalar_sweep(fpva, suite, universe);
+    }
+    let table = SingleFaultTable::build(&LoweredChip::build(fpva), suite);
+    // Per valve, parallel to `stuck_at`: whether each fault was detected.
+    let mut detected = vec![[false; 2]; fpva.valve_count()];
+    for (i, vector) in suite.vectors().iter().enumerate() {
+        for v in table.exposed(i) {
+            detected[v.index()][usize::from(!vector.is_open(v))] = true;
+        }
+    }
+    let undetected = fpva
         .valves()
-        .flat_map(|(v, _)| [Fault::StuckAt0(v), Fault::StuckAt1(v)])
+        .flat_map(|(v, _)| stuck_at(v).into_iter().zip(detected[v.index()]))
+        .filter_map(|(fault, hit)| (!hit).then_some(fault))
         .collect();
-    sweep_universe(fpva, suite, kernel, universe)
+    CoverageReport {
+        total: 2 * fpva.valve_count(),
+        undetected,
+        stats: table.stats(),
+    }
 }
 
 /// Checks every control-leak fault between physically adjacent valves
@@ -77,64 +102,61 @@ pub fn leak_coverage(fpva: &Fpva, suite: &TestSuite) -> CoverageReport<Fault> {
 }
 
 /// [`leak_coverage`] on an explicit kernel.
+///
+/// A leak `actuator → victim` is active on a vector only when it commands
+/// the actuator closed and the victim open, and there
+/// [`FaultSet::effective_states`] makes it exactly a stuck-at-0 on the
+/// victim. So the bit-parallel kernel detects it iff some such vector's
+/// [`SingleFaultTable`] row exposes the victim.
 pub fn leak_coverage_with(
     fpva: &Fpva,
     suite: &TestSuite,
     kernel: SimKernel,
 ) -> CoverageReport<Fault> {
-    let universe: Vec<Fault> = fpva
+    let universe: Vec<(ValveId, ValveId)> = fpva
         .valves()
         .flat_map(|(actuator, _)| {
             fpva.valve_neighbors(actuator)
                 .into_iter()
-                .map(move |victim| Fault::ControlLeak { actuator, victim })
+                .map(move |victim| (actuator, victim))
         })
         .collect();
-    sweep_universe(fpva, suite, kernel, universe)
+    let as_fault = |(actuator, victim)| Fault::ControlLeak { actuator, victim };
+    if kernel == SimKernel::Scalar {
+        return scalar_sweep(fpva, suite, universe.into_iter().map(as_fault).collect());
+    }
+    let table = SingleFaultTable::build(&LoweredChip::build(fpva), suite);
+    let detected = |&(actuator, victim): &(ValveId, ValveId)| {
+        suite.vectors().iter().enumerate().any(|(i, vector)| {
+            !vector.is_open(actuator) && vector.is_open(victim) && table.exposes(i, victim)
+        })
+    };
+    CoverageReport {
+        total: universe.len(),
+        undetected: universe
+            .iter()
+            .filter(|leak| !detected(leak))
+            .map(|&leak| as_fault(leak))
+            .collect(),
+        stats: table.stats(),
+    }
 }
 
-/// Serial sweep over an explicit single-fault universe: scalar per-fault
-/// detection, or [`LANES`] faults per word on the bit-parallel kernel.
-fn sweep_universe(
-    fpva: &Fpva,
-    suite: &TestSuite,
-    kernel: SimKernel,
-    universe: Vec<Fault>,
-) -> CoverageReport<Fault> {
+/// Serial scalar sweep over an explicit single-fault universe: one
+/// [`TestSuite::first_detecting_vector`] per fault — the oracle the
+/// table-based answers are checked against.
+fn scalar_sweep(fpva: &Fpva, suite: &TestSuite, universe: Vec<Fault>) -> CoverageReport<Fault> {
     let total = universe.len();
     let mut undetected = Vec::new();
     let mut stats = KernelStats::default();
-    match kernel {
-        SimKernel::Scalar => {
-            for fault in universe {
-                let set = FaultSet::try_from_faults(vec![fault]).expect("single fault is valid");
-                match suite.first_detecting_vector(fpva, &set) {
-                    Some(ix) => stats.scalar_passes += ix + 1,
-                    None => {
-                        stats.scalar_passes += suite.len();
-                        undetected.push(fault);
-                    }
-                }
+    for fault in universe {
+        let set = FaultSet::try_from_faults(vec![fault]).expect("single fault is valid");
+        match suite.first_detecting_vector(fpva, &set) {
+            Some(ix) => stats.scalar_passes += ix + 1,
+            None => {
+                stats.scalar_passes += suite.len();
+                undetected.push(fault);
             }
-        }
-        SimKernel::BitParallel => {
-            let chip = LoweredChip::build(fpva);
-            let mut sim = BitSimulator::new(&chip);
-            for block in universe.chunks(LANES) {
-                let sets: Vec<FaultSet> = block
-                    .iter()
-                    .map(|&fault| {
-                        FaultSet::try_from_faults(vec![fault]).expect("single fault is valid")
-                    })
-                    .collect();
-                let mask = sim.detect_block(suite, &sets);
-                for (lane, &fault) in block.iter().enumerate() {
-                    if mask >> lane & 1 == 0 {
-                        undetected.push(fault);
-                    }
-                }
-            }
-            stats = sim.stats();
         }
     }
     CoverageReport {
@@ -172,7 +194,9 @@ pub fn two_fault_audit(
 /// partial). It first builds the suite's [`SingleFaultTable`], so a pair
 /// with only one fault active on a vector is answered by lookup and a
 /// vector is flooded only when some undetected pair has both faults
-/// active; the table's floods count in the report's `word_passes`.
+/// active. The table costs no floods: its one structural pass per vector
+/// counts in the report's `structural_passes`, and `word_passes` counts
+/// only the pair floods.
 pub fn two_fault_audit_with(
     fpva: &Fpva,
     suite: &TestSuite,
@@ -191,7 +215,7 @@ pub fn two_fault_audit_with(
     };
     let lowered = (kernel == SimKernel::BitParallel && total > 0).then(|| {
         let chip = LoweredChip::build(fpva);
-        let table = SingleFaultTable::build(&chip, suite, threads);
+        let table = SingleFaultTable::build(&chip, suite);
         (chip, table)
     });
     let chunks = exec::run_chunked(threads, total, PAIR_CHUNK, |pairs| {

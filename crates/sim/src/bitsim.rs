@@ -21,8 +21,10 @@
 //!   suite vector to up to [`LANES`] fault sets at once and reports the
 //!   detected lanes as a bitmask, plus [`KernelStats`] counters,
 //! * [`SingleFaultTable`] — per vector, which single stuck-at faults it
-//!   exposes; built once per `(chip, suite)` with the same kernel, it lets
-//!   the detector answer multi-fault lanes by lookup.
+//!   exposes; read off the graph structure (one bridge-finding DFS per
+//!   vector, no flood) once per `(chip, suite)`, it answers the single and
+//!   leak audits outright and lets the detector answer multi-fault lanes
+//!   by lookup.
 //!
 //! # Fault-activation pruning
 //!
@@ -54,8 +56,11 @@
 //! path stays in the tree as the oracle: the differential campaign tests
 //! run both kernels over the Table I layouts and assert identical
 //! [`crate::campaign::CampaignRow`]s, and the unit tests below check the
-//! per-scenario reachability sets themselves. Anything observable may
-//! *only* differ in speed.
+//! per-scenario reachability sets themselves. Every bit of a
+//! [`SingleFaultTable`] is held to the same standard: it equals the scalar
+//! verdict for the single fault it stands for, checked on seeded generated
+//! chips and, against the 64-lane flood, on the Table I plans. Anything
+//! observable may *only* differ in speed.
 
 use crate::fault::{Fault, FaultSet};
 use crate::pressure::Response;
@@ -367,8 +372,7 @@ pub struct KernelStats {
     /// 64-lane scenario blocks simulated by the bit-parallel kernel.
     pub blocks: usize,
     /// Word-parallel bitset-BFS passes (floods): one per vector a live
-    /// block needed flooded, plus the floods that built a
-    /// [`SingleFaultTable`].
+    /// block needed flooded.
     pub word_passes: usize,
     /// Vector applications of the bit-parallel kernel answered without a
     /// flood: every undetected lane was dormant or answered by a
@@ -379,6 +383,9 @@ pub struct KernelStats {
     pub lanes: usize,
     /// Scalar BFS passes (vector applications) by the scalar kernel.
     pub scalar_passes: usize,
+    /// Vectors read structurally (one bridge DFS each) to build a
+    /// [`SingleFaultTable`], in place of simulating their faults.
+    pub structural_passes: usize,
 }
 
 impl KernelStats {
@@ -390,12 +397,9 @@ impl KernelStats {
         self.pruned_passes += other.pruned_passes;
         self.lanes += other.lanes;
         self.scalar_passes += other.scalar_passes;
+        self.structural_passes += other.structural_passes;
     }
 }
-
-/// Vectors per work chunk of [`SingleFaultTable::build`]; fixed so the
-/// decomposition never depends on the thread count.
-const TABLE_CHUNK: usize = 8;
 
 /// Which single stuck-at faults each vector of a suite exposes.
 ///
@@ -407,77 +411,310 @@ const TABLE_CHUNK: usize = 8;
 /// detections of vector `i` are its row ∧ the vector's open bits, and the
 /// stuck-at-1 detections its row ∧ the closed bits.
 ///
-/// Built once per `(chip, suite)` by packing each vector's active faults
-/// 64 per lane word, so it costs `⌈n_v / 64⌉` floods per vector (counted
-/// in [`SingleFaultTable::stats`]).
+/// The table is read off the graph structure, with no fault simulation
+/// (critical path tracing made exact by the undirected flow layer). Take
+/// the vector's open subgraph, plus a super-source joined to every source
+/// cell:
+///
+/// * a **stuck-at-0** on an open valve changes a reading iff its edge is a
+///   bridge of that graph whose far side (away from the super-source)
+///   holds a sink: cutting it depressurises exactly the far side;
+/// * a **stuck-at-1** on a closed valve changes a reading iff exactly one
+///   endpoint is pressurised and the other endpoint's open component
+///   holds a sink: opening it pressurises exactly that component.
+///
+/// One pass per vector finds both: an iterative lowlink DFS (Tarjan's
+/// bridge finding) from the super-source with per-subtree sink counts,
+/// then a lazy labelling of the unpressurised open components seen across
+/// closed valves. The pass costs O(cells + edges) per vector, against
+/// `⌈n_v / 64⌉` 64-lane floods for simulating every active fault; it is
+/// counted in [`KernelStats::structural_passes`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SingleFaultTable {
     /// Rows: the suite's vector count.
     vectors: usize,
+    /// Columns: the chip's valve count.
+    valves: usize,
     /// `u64` words per row (`⌈n_v / 64⌉`).
     words: usize,
     /// `vectors × words` exposure bits, row-major.
     exposed: Vec<u64>,
-    stats: KernelStats,
 }
 
 impl SingleFaultTable {
-    /// Builds the table for `suite` on `chip`, spreading the vectors over
-    /// `threads` workers (`1` = serial, `0` = all CPUs). The table and its
-    /// stats are identical for every thread count.
+    /// Builds the table for `suite` on `chip`, one structural pass per
+    /// vector (serial and deterministic).
     ///
     /// # Panics
     ///
     /// Panics if the suite's vectors were built for a different valve
-    /// count than the lowered chip.
-    pub fn build(chip: &LoweredChip, suite: &TestSuite, threads: usize) -> Self {
+    /// count than the lowered chip, or if a vector's golden response
+    /// disagrees with the chip's fault-free pressurisation (a suite built
+    /// for another chip).
+    pub fn build(chip: &LoweredChip, suite: &TestSuite) -> Self {
         let nv = chip.valve_count();
-        let chunks = crate::exec::run_chunked(threads, suite.len(), TABLE_CHUNK, |range| {
-            let mut sim = BitSimulator::new(chip);
-            let mut rows = Vec::new();
-            let mut sets = Vec::with_capacity(LANES);
-            for i in range {
-                let vector = &suite.vectors()[i];
-                assert_eq!(vector.len(), nv, "vector/chip size mismatch");
-                for base in (0..nv).step_by(LANES) {
-                    sets.clear();
-                    sets.extend((base..nv.min(base + LANES)).map(|v| {
-                        let v = ValveId(v);
-                        let fault = if vector.is_open(v) {
-                            Fault::StuckAt0(v)
-                        } else {
-                            Fault::StuckAt1(v)
-                        };
-                        FaultSet::from_iter([fault])
-                    }));
-                    rows.push(sim.respond(vector, &suite.expected()[i], &sets));
-                }
-            }
-            (rows, sim.stats())
-        });
-        let mut exposed = Vec::with_capacity(suite.len() * nv.div_ceil(LANES));
-        let mut stats = KernelStats::default();
-        for (rows, chunk_stats) in chunks {
-            exposed.extend(rows);
-            stats.merge(&chunk_stats);
+        let words = nv.div_ceil(LANES);
+        let mut exposed = vec![0; suite.len() * words];
+        let mut scan = ExposureScan::new(chip);
+        for (i, (vector, golden)) in suite.vectors().iter().zip(suite.expected()).enumerate() {
+            assert_eq!(vector.len(), nv, "vector/chip size mismatch");
+            scan.run(chip, vector, &mut exposed[i * words..(i + 1) * words]);
+            assert!(
+                golden.readings().len() == chip.sink_cells().len()
+                    && chip
+                        .sink_cells()
+                        .iter()
+                        .zip(golden.readings())
+                        .all(|(&cell, &reading)| scan.pressurised(cell) == reading),
+                "vector {i}: golden response disagrees with the chip (suite built for another chip?)"
+            );
         }
         SingleFaultTable {
             vectors: suite.len(),
-            words: nv.div_ceil(LANES),
+            valves: nv,
+            words,
             exposed,
-            stats,
         }
     }
 
     /// `true` when vector `i`'s response under the stuck-at fault it
     /// activates on valve `v` deviates from the golden response.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` or `v` is out of range.
     pub fn exposes(&self, i: usize, v: ValveId) -> bool {
+        assert!(
+            i < self.vectors && v.index() < self.valves,
+            "({i}, {v}) outside the {} x {} table",
+            self.vectors,
+            self.valves
+        );
         self.exposed[i * self.words + v.index() / LANES] >> (v.index() % LANES) & 1 == 1
     }
 
-    /// The floods spent building the table.
+    /// The valves whose active stuck-at fault vector `i` exposes,
+    /// ascending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn exposed(&self, i: usize) -> impl Iterator<Item = ValveId> + '_ {
+        assert!(i < self.vectors, "vector {i} outside the table");
+        let row = &self.exposed[i * self.words..(i + 1) * self.words];
+        row.iter().enumerate().flat_map(|(w, &word)| {
+            let mut word = word;
+            std::iter::from_fn(move || {
+                (word != 0).then(|| {
+                    let bit = word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    ValveId(w * LANES + bit)
+                })
+            })
+        })
+    }
+
+    /// The work spent building the table: one structural pass per vector.
     pub fn stats(&self) -> KernelStats {
-        self.stats
+        KernelStats {
+            structural_passes: self.vectors,
+            ..KernelStats::default()
+        }
+    }
+}
+
+/// Discovery time of the super-source; cells are numbered from `ROOT + 1`
+/// and `0` marks an unpressurised (undiscovered) cell.
+const ROOT: u32 = 1;
+
+/// One DFS stack entry: a cell, its next adjacency entry to try, and the
+/// gate of the tree edge from its parent ([`OPEN_GATE`] for a DFS root).
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    cell: u32,
+    next: u32,
+    gate: u32,
+}
+
+/// Scratch of the structural single-fault scan, sized once per chip and
+/// reset per vector.
+#[derive(Debug)]
+struct ExposureScan {
+    /// Per cell: sink ports on it, and whether a source port is on it.
+    sinks_at: Vec<u32>,
+    is_source: Vec<bool>,
+    /// Per cell: DFS discovery time (`0` = unpressurised), lowlink, and
+    /// sink ports in its DFS subtree.
+    disc: Vec<u32>,
+    low: Vec<u32>,
+    below: Vec<u32>,
+    /// Pressurised cells in discovery order.
+    order: Vec<u32>,
+    stack: Vec<Frame>,
+    /// Per cell: label of its unpressurised open component (`0` = not yet
+    /// labelled); per label: whether the component holds a sink.
+    label: Vec<u32>,
+    label_sink: Vec<bool>,
+    /// Cells still to expand while labelling a component.
+    pending: Vec<u32>,
+}
+
+/// `true` when an adjacency entry with `gate` conducts under `vector`.
+fn conducts(gate: u32, vector: &TestVector) -> bool {
+    gate == OPEN_GATE || vector.is_open(ValveId(gate as usize))
+}
+
+/// Marks valve `gate` exposed in a table row.
+fn set_bit(row: &mut [u64], gate: u32) {
+    let g = gate as usize;
+    row[g / LANES] |= 1 << (g % LANES);
+}
+
+impl ExposureScan {
+    fn new(chip: &LoweredChip) -> Self {
+        let n = chip.cell_count();
+        let mut sinks_at = vec![0; n];
+        for &c in chip.sink_cells() {
+            sinks_at[c as usize] += 1;
+        }
+        let mut is_source = vec![false; n];
+        for &c in chip.source_cells() {
+            is_source[c as usize] = true;
+        }
+        ExposureScan {
+            sinks_at,
+            is_source,
+            disc: vec![0; n],
+            low: vec![0; n],
+            below: vec![0; n],
+            order: Vec::with_capacity(n),
+            stack: Vec::new(),
+            label: vec![0; n],
+            label_sink: Vec::new(),
+            pending: Vec::new(),
+        }
+    }
+
+    /// `true` when the last scan pressurised `cell`.
+    fn pressurised(&self, cell: u32) -> bool {
+        self.disc[cell as usize] != 0
+    }
+
+    /// Sets in `row` the valves whose active stuck-at fault changes a sink
+    /// reading under `vector` (see [`SingleFaultTable`]).
+    fn run(&mut self, chip: &LoweredChip, vector: &TestVector, row: &mut [u64]) {
+        self.disc.fill(0);
+        self.label.fill(0);
+        self.label_sink.clear();
+        self.label_sink.push(false);
+        self.order.clear();
+        self.bridges(chip, vector, row);
+        for oi in 0..self.order.len() {
+            let c = self.order[oi] as usize;
+            for k in chip.adj_start[c] as usize..chip.adj_start[c + 1] as usize {
+                let gate = chip.adj_gate[k];
+                let n = chip.adj_next[k];
+                if !conducts(gate, vector)
+                    && !self.pressurised(n)
+                    && self.holds_sink(chip, vector, n)
+                {
+                    set_bit(row, gate);
+                }
+            }
+        }
+    }
+
+    fn discover(&mut self, cell: u32, time: &mut u32) {
+        let c = cell as usize;
+        *time += 1;
+        self.disc[c] = *time;
+        // A source cell hangs off the super-source, so no edge below it can
+        // cut it off.
+        self.low[c] = if self.is_source[c] { ROOT } else { *time };
+        self.below[c] = self.sinks_at[c];
+        self.order.push(cell);
+    }
+
+    /// The lowlink DFS over the open subgraph from the super-source: marks
+    /// the pressurised cells and sets the stuck-at-0 bits of open valves
+    /// on bridges with a sink beyond them.
+    fn bridges(&mut self, chip: &LoweredChip, vector: &TestVector, row: &mut [u64]) {
+        let mut time = ROOT;
+        for &s in chip.source_cells() {
+            if self.pressurised(s) {
+                continue;
+            }
+            self.discover(s, &mut time);
+            self.stack.push(Frame {
+                cell: s,
+                next: chip.adj_start[s as usize],
+                gate: OPEN_GATE,
+            });
+            while let Some(top) = self.stack.last_mut() {
+                let c = top.cell as usize;
+                let k = top.next as usize;
+                if k < chip.adj_start[c + 1] as usize {
+                    top.next += 1;
+                    let gate = chip.adj_gate[k];
+                    if !conducts(gate, vector) {
+                        continue;
+                    }
+                    let n = chip.adj_next[k];
+                    let ni = n as usize;
+                    if !self.pressurised(n) {
+                        self.discover(n, &mut time);
+                        self.stack.push(Frame {
+                            cell: n,
+                            next: chip.adj_start[ni],
+                            gate,
+                        });
+                    } else {
+                        // The grid has no parallel edges, so the entry
+                        // back to the parent cell is the tree edge itself.
+                        let depth = self.stack.len();
+                        let parent = (depth >= 2).then(|| self.stack[depth - 2].cell);
+                        if parent != Some(n) {
+                            self.low[c] = self.low[c].min(self.disc[ni]);
+                        }
+                    }
+                } else {
+                    let done = self.stack.pop().expect("non-empty stack");
+                    if let Some(parent) = self.stack.last() {
+                        let p = parent.cell as usize;
+                        self.low[p] = self.low[p].min(self.low[c]);
+                        self.below[p] += self.below[c];
+                        if done.gate != OPEN_GATE && self.low[c] > self.disc[p] && self.below[c] > 0
+                        {
+                            set_bit(row, done.gate);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `true` when the unpressurised open component of `cell` holds a
+    /// sink, labelling the component on first use.
+    fn holds_sink(&mut self, chip: &LoweredChip, vector: &TestVector, cell: u32) -> bool {
+        if self.label[cell as usize] == 0 {
+            let id = u32::try_from(self.label_sink.len()).expect("labels fit u32");
+            let mut sink = false;
+            self.label[cell as usize] = id;
+            self.pending.push(cell);
+            while let Some(c) = self.pending.pop() {
+                let c = c as usize;
+                sink |= self.sinks_at[c] > 0;
+                for k in chip.adj_start[c] as usize..chip.adj_start[c + 1] as usize {
+                    let n = chip.adj_next[k];
+                    if conducts(chip.adj_gate[k], vector) && self.label[n as usize] == 0 {
+                        self.label[n as usize] = id;
+                        self.pending.push(n);
+                    }
+                }
+            }
+            self.label_sink.push(sink);
+        }
+        self.label_sink[self.label[cell as usize] as usize]
     }
 }
 
@@ -809,7 +1046,7 @@ mod tests {
             ));
         }
         let suite = TestSuite::new(&f, vectors);
-        let table = SingleFaultTable::build(&chip, &suite, 1);
+        let table = SingleFaultTable::build(&chip, &suite);
         // 70 sets with control leaks: one full block plus a partial one.
         let sets: Vec<FaultSet> = (0..70)
             .map(|i| crate::campaign::random_fault_set(&f, &mut rng, i % 5 + 1, true))
@@ -923,7 +1160,7 @@ mod tests {
                     .filter(|_| rng.gen_range(0..2) == 1),
             );
             let suite = TestSuite::new(&f, vec![vector]);
-            let table = SingleFaultTable::build(&chip, &suite, 1);
+            let table = SingleFaultTable::build(&chip, &suite);
             let mut sim = BitSimulator::new(&chip);
             for block in sets.chunks(LANES) {
                 let plain = sim.detect_block(&suite, block);
@@ -955,11 +1192,13 @@ mod tests {
             })
             .collect();
         let suite = TestSuite::new(&f, vectors);
-        let table = SingleFaultTable::build(&chip, &suite, 1);
-        assert_eq!(SingleFaultTable::build(&chip, &suite, 3), table);
+        let table = SingleFaultTable::build(&chip, &suite);
         assert_eq!(
-            table.stats().word_passes,
-            suite.len() * f.valve_count().div_ceil(LANES)
+            table.stats(),
+            KernelStats {
+                structural_passes: suite.len(),
+                ..KernelStats::default()
+            }
         );
         for (i, vector) in suite.vectors().iter().enumerate() {
             let one = TestSuite::new(&f, vec![vector.clone()]);
@@ -973,6 +1212,31 @@ mod tests {
                 assert_eq!(table.exposes(i, v), one.detects(&f, &set), "{i} {fault}");
             }
         }
+    }
+
+    /// A valve index past the chip's last valve is an error, not a read
+    /// of the row's padding bits (or of the next row).
+    #[test]
+    #[should_panic(expected = "outside the 2 x 2 table")]
+    fn exposes_rejects_out_of_range_valves() {
+        let f = line3();
+        let chip = LoweredChip::build(&f);
+        let suite = TestSuite::new(
+            &f,
+            vec![
+                TestVector::all_open(f.valve_count()),
+                TestVector::all_closed(f.valve_count()),
+            ],
+        );
+        let table = SingleFaultTable::build(&chip, &suite);
+        // Series line: every stuck-at-0 cuts the sink off the all-open
+        // vector; no single stuck-at-1 crosses the two closed valves.
+        assert_eq!(
+            table.exposed(0).collect::<Vec<_>>(),
+            [ValveId(0), ValveId(1)]
+        );
+        assert_eq!(table.exposed(1).count(), 0);
+        table.exposes(0, ValveId(2));
     }
 
     #[test]

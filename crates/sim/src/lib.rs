@@ -21,7 +21,8 @@
 //!   audits used to check the paper's two-fault detection guarantee,
 //! * [`bitsim`] — the bit-parallel (PPSFP-style) simulation kernel: 64
 //!   fault scenarios per `u64` word, one bitset BFS per vector that
-//!   activates a fault in some undetected lane,
+//!   activates a fault in some undetected lane, plus the structural
+//!   single-fault table (one bridge-finding DFS per vector),
 //! * [`exec`] — the scoped worker pool the campaign and the pairwise
 //!   audit share (fixed-size chunks, merged in chunk order, so results
 //!   never depend on the thread count).
@@ -82,6 +83,18 @@
 //! so only vectors on which some undetected pair has both faults active
 //! are flooded. [`KernelStats`] counts both the floods (`word_passes`)
 //! and the vector applications answered without one (`pruned_passes`).
+//!
+//! The single-fault table itself needs no flood. The flow layer is an
+//! undirected graph, so a vector's single-fault answers follow from its
+//! structure: a stuck-at-0 on an open valve changes a reading iff the
+//! valve is a bridge of the open subgraph (plus a super-source joined to
+//! every source) with a sink beyond it, and a stuck-at-1 on a closed
+//! valve iff it joins the pressurised region to an unpressurised open
+//! component holding a sink. One lowlink DFS and one lazy component
+//! labelling per vector find both (counted in `structural_passes`). The
+//! single-fault and leak audits ([`audit::single_fault_coverage`],
+//! [`audit::leak_coverage`]) read their verdicts straight off that table:
+//! an active control leak is exactly a stuck-at-0 on its victim.
 //!
 //! **Scalar-oracle invariant:** the scalar path ([`propagate`],
 //! [`TestSuite::detects`], [`campaign::leak_is_observable`]) is retained

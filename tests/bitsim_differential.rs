@@ -102,7 +102,7 @@ fn detect_block_matches_suite_detects_on_plan_suites() {
     let (fpva_5x5, suite_5x5) = planned_5x5();
     for (fpva, suite) in [(fpva_5x5, suite_5x5), (&biochip, &biochip_suite)] {
         let chip = LoweredChip::build(fpva);
-        let table = SingleFaultTable::build(&chip, suite, 2);
+        let table = SingleFaultTable::build(&chip, suite);
         let mut rng = StdRng::seed_from_u64(17);
         let sets: Vec<_> = (0..200)
             .map(|i| random_fault_set(fpva, &mut rng, i % 5 + 1, true))
