@@ -183,38 +183,86 @@ pub fn sink_cells(fpva: &Fpva) -> Vec<CellId> {
 /// BFS over passable edges, skipping `blocked` edges. Returns a
 /// `cell_count()`-sized reachability mask.
 pub fn reachable_from(fpva: &Fpva, starts: &[CellId], blocked: &HashSet<EdgeId>) -> Vec<bool> {
+    let (passable, closed): (Vec<bool>, Vec<bool>) = fpva
+        .edges()
+        .map(|(edge, kind)| (kind != EdgeKind::Wall, blocked.contains(&edge)))
+        .unzip();
+    let starts: Vec<usize> = starts.iter().map(|&c| fpva.cell_index(c)).collect();
     let mut seen = vec![false; fpva.cell_count()];
-    let mut queue = std::collections::VecDeque::new();
-    for &s in starts {
-        let ix = fpva.cell_index(s);
-        if !seen[ix] {
-            seen[ix] = true;
-            queue.push_back(s);
+    Adjacency::new(fpva, &passable).flood(&closed, &starts, &mut seen, &mut Vec::new());
+    seen
+}
+
+/// Dense adjacency of the usable lattice edges, in compressed-row form:
+/// for each cell index, `(edge index, neighbour cell index)` pairs in
+/// [`Fpva::neighbors`] order. Shared by the router and the cut-set flood
+/// context, which differ only in which edges they may cross.
+pub(crate) struct Adjacency {
+    /// `adj[start[c]..start[c + 1]]` are the entries of cell index `c`.
+    start: Vec<usize>,
+    adj: Vec<(usize, usize)>,
+}
+
+impl Adjacency {
+    /// The adjacency over the edges whose dense index is `usable`.
+    pub(crate) fn new(fpva: &Fpva, usable: &[bool]) -> Self {
+        let mut start = Vec::with_capacity(fpva.cell_count() + 1);
+        let mut adj = Vec::with_capacity(2 * fpva.edge_count());
+        start.push(0);
+        for cell in fpva.cells() {
+            for (edge, next) in fpva.neighbors(cell) {
+                let e = fpva.edge_index(edge);
+                if usable[e] {
+                    adj.push((e, fpva.cell_index(next)));
+                }
+            }
+            start.push(adj.len());
         }
+        Adjacency { start, adj }
     }
-    while let Some(cell) = queue.pop_front() {
-        for (edge, next) in fpva.neighbors(cell) {
-            if edge_passable(fpva, edge) && !blocked.contains(&edge) {
-                let ix = fpva.cell_index(next);
-                if !seen[ix] {
-                    seen[ix] = true;
-                    queue.push_back(next);
+
+    /// The usable `(edge index, neighbour cell index)` pairs of `cell`.
+    pub(crate) fn of(&self, cell: usize) -> &[(usize, usize)] {
+        &self.adj[self.start[cell]..self.start[cell + 1]]
+    }
+
+    /// Multi-source BFS from the cell indices `starts` over the usable
+    /// edges not set in the `blocked` edge mask. Overwrites `seen` with the
+    /// reached cells; `queue` is scratch.
+    pub(crate) fn flood(
+        &self,
+        blocked: &[bool],
+        starts: &[usize],
+        seen: &mut [bool],
+        queue: &mut Vec<usize>,
+    ) {
+        seen.fill(false);
+        queue.clear();
+        for &s in starts {
+            if !seen[s] {
+                seen[s] = true;
+                queue.push(s);
+            }
+        }
+        let mut head = 0;
+        while let Some(&cell) = queue.get(head) {
+            head += 1;
+            for &(edge, next) in self.of(cell) {
+                if !blocked[edge] && !seen[next] {
+                    seen[next] = true;
+                    queue.push(next);
                 }
             }
         }
     }
-    seen
 }
 
 /// Per-call routing context of [`path_through_edge`], built once and
-/// reused by every attempt: the passable, non-avoided adjacency of each
-/// cell in [`Fpva::neighbors`] order, the `prefer` verdict per edge, and
-/// the search scratch (visited mask, BFS queue, flat choice stack).
+/// reused by every attempt: the passable, non-avoided adjacency, the
+/// `prefer` verdict per edge, and the search scratch (visited mask, BFS
+/// queue, flat choice stack).
 struct Router {
-    /// `adj[adj_start[c]..adj_start[c + 1]]` lists `(edge index, neighbour
-    /// cell index)` for cell index `c`.
-    adj_start: Vec<usize>,
-    adj: Vec<(usize, usize)>,
+    adj: Adjacency,
     /// `prefer(edge)` per dense edge index (only usable edges evaluated).
     preferred: Vec<bool>,
     /// Cells the path under construction may not enter.
@@ -241,21 +289,8 @@ impl Router {
                 preferred[i] = prefer(edge);
             }
         }
-        let mut adj_start = Vec::with_capacity(fpva.cell_count() + 1);
-        let mut adj = Vec::with_capacity(2 * fpva.edge_count());
-        adj_start.push(0);
-        for cell in fpva.cells() {
-            for (edge, next) in fpva.neighbors(cell) {
-                let e = fpva.edge_index(edge);
-                if usable[e] {
-                    adj.push((e, fpva.cell_index(next)));
-                }
-            }
-            adj_start.push(adj.len());
-        }
         Router {
-            adj_start,
-            adj,
+            adj: Adjacency::new(fpva, &usable),
             preferred,
             visited: vec![false; fpva.cell_count()],
             seen: vec![false; fpva.cell_count()],
@@ -279,7 +314,7 @@ impl Router {
         let mut head = 0;
         while let Some(&cell) = self.queue.get(head) {
             head += 1;
-            for &(_, next) in &self.adj[self.adj_start[cell]..self.adj_start[cell + 1]] {
+            for &(_, next) in self.adj.of(cell) {
                 if next == goal && !self.visited[next] {
                     return true;
                 }
@@ -297,7 +332,7 @@ impl Router {
     /// last-in-first-out, so preferred edges are tried first).
     fn expand(&mut self, cell: usize, rng: &mut impl Rng) {
         let start = self.choices.len();
-        for &(edge, next) in &self.adj[self.adj_start[cell]..self.adj_start[cell + 1]] {
+        for &(edge, next) in self.adj.of(cell) {
             if !self.visited[next] {
                 self.choices.push((edge, next));
             }

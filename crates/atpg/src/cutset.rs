@@ -18,7 +18,7 @@
 //! stuck-at-0 fault at that valve could "repair" the cut and mask a
 //! stuck-at-1 inside it.
 
-use crate::connectivity::{reachable_from, sink_cells, source_cells};
+use crate::connectivity::Adjacency;
 use crate::error::AtpgError;
 use fpva_grid::{Axis, CellId, EdgeId, EdgeKind, Fpva, TestVector, ValveId, ValveState};
 use serde::{Deserialize, Serialize};
@@ -38,17 +38,8 @@ impl CutSet {
     /// # Errors
     ///
     /// [`AtpgError::NotSeparating`] when some sink is still reachable.
-    pub fn new(fpva: &Fpva, mut valves: Vec<ValveId>) -> Result<Self, AtpgError> {
-        valves.sort_unstable();
-        valves.dedup();
-        let blocked: HashSet<EdgeId> = valves.iter().map(|&v| fpva.edge_of(v)).collect();
-        let reach = reachable_from(fpva, &source_cells(fpva), &blocked);
-        for sink in sink_cells(fpva) {
-            if reach[fpva.cell_index(sink)] {
-                return Err(AtpgError::NotSeparating { reached_sink: sink });
-            }
-        }
-        Ok(CutSet { valves })
+    pub fn new(fpva: &Fpva, valves: Vec<ValveId>) -> Result<Self, AtpgError> {
+        CutContext::new(fpva).cut(valves)
     }
 
     /// The valves of the cut, ascending.
@@ -86,6 +77,243 @@ impl CutSet {
 /// A corner point of the lattice: `(i, j)` with `0 ≤ i ≤ rows`,
 /// `0 ≤ j ≤ cols`.
 type Corner = (usize, usize);
+
+/// Dense index of a corner, row-major over the `(rows + 1) × (cols + 1)`
+/// corner lattice.
+fn corner_index(fpva: &Fpva, c: Corner) -> usize {
+    c.0 * (fpva.cols() + 1) + c.1
+}
+
+fn corner_count(fpva: &Fpva) -> usize {
+    (fpva.rows() + 1) * (fpva.cols() + 1)
+}
+
+/// Dense flood context of one chip, built once per [`cut_cover`] call and
+/// reused by every cut: the passable adjacency, a blocked-edge mask that
+/// holds the cut under test, one reach mask per side, and the corner and
+/// valve masks of the constraint-(9) repair.
+///
+/// Closing a cut floods from the sources. That one flood is both the
+/// separation check of [`CutSet::new`] and the first half of
+/// [`exposed_valves`], whose second half is a flood from the sinks: two
+/// floods per cut in all.
+struct CutContext<'a> {
+    fpva: &'a Fpva,
+    adj: Adjacency,
+    sources: Vec<usize>,
+    sinks: Vec<usize>,
+    /// Closed edges by dense edge index; `closed` lists the set entries.
+    blocked: Vec<bool>,
+    closed: Vec<usize>,
+    from_sources: Vec<bool>,
+    from_sinks: Vec<bool>,
+    queue: Vec<usize>,
+    /// Corners on the curve under repair, by [`corner_index`].
+    on_curve: Vec<bool>,
+    /// Valves already in the cut under repair.
+    in_cut: Vec<bool>,
+    /// Corners the second half of a forced cut may not enter.
+    forbidden: Vec<bool>,
+}
+
+impl<'a> CutContext<'a> {
+    fn new(fpva: &'a Fpva) -> Self {
+        let passable: Vec<bool> = fpva.edges().map(|(_, k)| k != EdgeKind::Wall).collect();
+        CutContext {
+            fpva,
+            adj: Adjacency::new(fpva, &passable),
+            sources: fpva
+                .sources()
+                .map(|(_, p)| fpva.cell_index(p.cell))
+                .collect(),
+            sinks: fpva.sinks().map(|(_, p)| fpva.cell_index(p.cell)).collect(),
+            blocked: vec![false; fpva.edge_count()],
+            closed: Vec::new(),
+            from_sources: vec![false; fpva.cell_count()],
+            from_sinks: vec![false; fpva.cell_count()],
+            queue: Vec::with_capacity(fpva.cell_count()),
+            on_curve: vec![false; corner_count(fpva)],
+            in_cut: vec![false; fpva.valve_count()],
+            forbidden: vec![false; corner_count(fpva)],
+        }
+    }
+
+    /// Closes exactly `valves` (every other valve open) and floods from
+    /// the sources.
+    fn close(&mut self, valves: &[ValveId]) {
+        for &e in &self.closed {
+            self.blocked[e] = false;
+        }
+        self.closed.clear();
+        for &v in valves {
+            let e = self.fpva.edge_index(self.fpva.edge_of(v));
+            self.blocked[e] = true;
+            self.closed.push(e);
+        }
+        self.adj.flood(
+            &self.blocked,
+            &self.sources,
+            &mut self.from_sources,
+            &mut self.queue,
+        );
+    }
+
+    /// [`CutSet::new`]: on success the cut stays closed, with its source
+    /// flood ready for [`CutContext::exposed`].
+    fn cut(&mut self, mut valves: Vec<ValveId>) -> Result<CutSet, AtpgError> {
+        valves.sort_unstable();
+        valves.dedup();
+        self.close(&valves);
+        match self.sinks.iter().find(|&&s| self.from_sources[s]) {
+            Some(&sink) => Err(AtpgError::NotSeparating {
+                reached_sink: self.fpva.cell_at(sink),
+            }),
+            None => Ok(CutSet { valves }),
+        }
+    }
+
+    /// [`exposed_valves`] of the cut last closed, which must be `valves`:
+    /// one flood from the sinks, read against the source flood.
+    fn exposed(&mut self, valves: &[ValveId]) -> Vec<ValveId> {
+        debug_assert_eq!(self.closed.len(), valves.len());
+        self.adj.flood(
+            &self.blocked,
+            &self.sinks,
+            &mut self.from_sinks,
+            &mut self.queue,
+        );
+        let (s, t) = (&self.from_sources, &self.from_sinks);
+        valves
+            .iter()
+            .copied()
+            .filter(|&v| {
+                let (a, b) = self.fpva.valve_endpoints(v);
+                let (a, b) = (self.fpva.cell_index(a), self.fpva.cell_index(b));
+                (s[a] && t[b]) || (s[b] && t[a])
+            })
+            .collect()
+    }
+
+    /// Applies the paper's constraint (9) to a cut curve: every valve whose
+    /// *both* dual endpoints lie on the curve is added to `valves`, so that
+    /// no single stuck-at-0 valve can re-form the cut and mask a
+    /// stuck-at-1 inside it (Fig. 5(c)/(d)).
+    fn repair(&mut self, corners: &[Corner], valves: &mut Vec<ValveId>) {
+        let fpva = self.fpva;
+        for &c in corners {
+            self.on_curve[corner_index(fpva, c)] = true;
+        }
+        for &v in valves.iter() {
+            self.in_cut[v.index()] = true;
+        }
+        for (valve, edge) in fpva.valves() {
+            if self.in_cut[valve.index()] {
+                continue;
+            }
+            let (p, q) = dual_endpoints(edge);
+            if self.on_curve[corner_index(fpva, p)] && self.on_curve[corner_index(fpva, q)] {
+                valves.push(valve);
+            }
+        }
+        for &c in corners {
+            self.on_curve[corner_index(fpva, c)] = false;
+        }
+        for &v in valves.iter() {
+            self.in_cut[v.index()] = false;
+        }
+    }
+
+    /// The cut of a dual-lattice curve: its crossed valves plus `extra`,
+    /// repaired per constraint (9), if they separate.
+    fn curve_cut(&mut self, curve: &[Corner], extra: Option<ValveId>) -> Option<CutSet> {
+        let mut valves = crossed_valves(self.fpva, curve);
+        valves.extend(extra);
+        self.repair(curve, &mut valves);
+        self.cut(valves).ok()
+    }
+
+    /// [`straight_line_cuts`]. `accepted` sees each new cut while it is
+    /// still closed, so it may ask for [`CutContext::exposed`].
+    fn straight_lines(&mut self, mut accepted: impl FnMut(&mut Self, &CutSet)) -> Vec<CutSet> {
+        let fpva = self.fpva;
+        let (rows, cols) = (fpva.rows(), fpva.cols());
+        // Moves on the intended grid line cost 1, everything else 2
+        // (keeps detours local).
+        let vertical = (1..cols).map(|j| {
+            let cost = move |a: Corner, b: Corner| if a.1 == j && b.1 == j { 1 } else { 2 };
+            dual_dijkstra(fpva, (0, j), (rows, j), cost)
+        });
+        let horizontal = (1..rows).map(|i| {
+            let cost = move |a: Corner, b: Corner| if a.0 == i && b.0 == i { 1 } else { 2 };
+            dual_dijkstra(fpva, (i, 0), (i, cols), cost)
+        });
+        let mut cuts: Vec<CutSet> = Vec::new();
+        let mut seen: HashSet<Vec<ValveId>> = HashSet::new();
+        for curve in vertical.chain(horizontal).flatten() {
+            let Some(cut) = self.curve_cut(&curve, None) else {
+                continue;
+            };
+            if seen.insert(cut.valves().to_vec()) {
+                accepted(self, &cut);
+                cuts.push(cut);
+            }
+        }
+        cuts
+    }
+
+    /// [`cut_through_valve`], with the cut's exposed members.
+    fn through_valve(&mut self, valve: ValveId) -> Option<(CutSet, Vec<ValveId>)> {
+        let fpva = self.fpva;
+        let (rows, cols) = (fpva.rows(), fpva.cols());
+        let (p, q) = dual_endpoints(fpva.edge_of(valve));
+        // The curve must leave sources and sinks on opposite sides; which
+        // pair of boundary sides achieves that depends on the port
+        // placement, so probe all combinations and keep the first
+        // separating curve.
+        type SideGoal = fn(Corner, usize, usize) -> bool;
+        let sides: [SideGoal; 4] = [
+            |c, _, _| c.0 == 0,
+            |c, rows, _| c.0 == rows,
+            |c, _, _| c.1 == 0,
+            |c, _, cols| c.1 == cols,
+        ];
+        for g1 in sides {
+            for g2 in sides {
+                self.forbidden[corner_index(fpva, q)] = true;
+                let half1 = dual_bfs(fpva, p, |c| g1(c, rows, cols), &self.forbidden);
+                self.forbidden[corner_index(fpva, q)] = false;
+                let Some(half1) = half1 else {
+                    continue;
+                };
+                for &c in &half1 {
+                    self.forbidden[corner_index(fpva, c)] = true;
+                }
+                let half2 = dual_bfs(fpva, q, |c| g2(c, rows, cols), &self.forbidden);
+                for &c in &half1 {
+                    self.forbidden[corner_index(fpva, c)] = false;
+                }
+                let Some(half2) = half2 else {
+                    continue;
+                };
+                // Assemble: boundary <- half1 reversed, p, q, half2 -> boundary.
+                let mut curve: Vec<Corner> = half1.into_iter().rev().collect();
+                curve.extend(half2);
+                let Some(cut) = self.curve_cut(&curve, Some(valve)) else {
+                    continue;
+                };
+                // The cut must be *minimal through `valve`*: a stuck-at-1
+                // at `valve` is only observable if opening it alone
+                // reconnects a source to a sink, i.e. if the cut exposes
+                // it. Otherwise try the next curve shape.
+                let exposed = self.exposed(cut.valves());
+                if exposed.binary_search(&valve).is_ok() {
+                    return Some((cut, exposed));
+                }
+            }
+        }
+        None
+    }
+}
 
 /// The lattice edge crossed when the cut curve moves between two adjacent
 /// corners, or `None` for moves along the chip boundary.
@@ -152,9 +380,8 @@ fn dual_dijkstra(
 ) -> Option<Vec<Corner>> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
-    let cols = fpva.cols() + 1;
-    let index = |c: Corner| c.0 * cols + c.1;
-    let n = (fpva.rows() + 1) * cols;
+    let index = |c: Corner| corner_index(fpva, c);
+    let n = corner_count(fpva);
     let mut dist = vec![usize::MAX; n];
     let mut prev: Vec<Option<Corner>> = vec![None; n];
     let mut heap = BinaryHeap::new();
@@ -189,21 +416,21 @@ fn dual_dijkstra(
     None
 }
 
-/// BFS in the dual lattice from `start` to `goal`, avoiding `forbidden`
-/// corners. Returns the corner sequence.
+/// BFS in the dual lattice from `start` to `goal`, avoiding the corners
+/// set in the `forbidden` mask (by [`corner_index`]). Returns the corner
+/// sequence.
 fn dual_bfs(
     fpva: &Fpva,
     start: Corner,
     goal: impl Fn(Corner) -> bool,
-    forbidden: &HashSet<Corner>,
+    forbidden: &[bool],
 ) -> Option<Vec<Corner>> {
-    if forbidden.contains(&start) {
+    let index = |c: Corner| corner_index(fpva, c);
+    if forbidden[index(start)] {
         return None;
     }
-    let cols = fpva.cols() + 1;
-    let index = |c: Corner| c.0 * cols + c.1;
-    let mut prev: Vec<Option<Corner>> = vec![None; (fpva.rows() + 1) * cols];
-    let mut seen = vec![false; (fpva.rows() + 1) * cols];
+    let mut prev: Vec<Option<Corner>> = vec![None; corner_count(fpva)];
+    let mut seen = vec![false; corner_count(fpva)];
     let mut queue = VecDeque::new();
     seen[index(start)] = true;
     queue.push_back(start);
@@ -219,7 +446,7 @@ fn dual_bfs(
             return Some(path);
         }
         for n in corner_neighbors(fpva, c) {
-            if !seen[index(n)] && !forbidden.contains(&n) && move_allowed(fpva, c, n) {
+            if !seen[index(n)] && !forbidden[index(n)] && move_allowed(fpva, c, n) {
                 seen[index(n)] = true;
                 prev[index(n)] = Some(c);
                 queue.push_back(n);
@@ -235,23 +462,6 @@ fn crossed_valves(fpva: &Fpva, corners: &[Corner]) -> Vec<ValveId> {
         .filter_map(|w| crossing(fpva, w[0], w[1]))
         .filter_map(|e| fpva.valve_at(e))
         .collect()
-}
-
-/// Applies the paper's constraint (9) to a cut curve: every valve whose
-/// *both* dual endpoints lie on the curve is added to the returned valve
-/// set, so that no single stuck-at-0 valve can re-form the cut and mask a
-/// stuck-at-1 inside it (Fig. 5(c)/(d)).
-fn apply_masking_constraint(fpva: &Fpva, corners: &[Corner], valves: &mut Vec<ValveId>) {
-    let on_curve: HashSet<Corner> = corners.iter().copied().collect();
-    for (valve, edge) in fpva.valves() {
-        if valves.contains(&valve) {
-            continue;
-        }
-        let (p, q) = dual_endpoints(edge);
-        if on_curve.contains(&p) && on_curve.contains(&q) {
-            valves.push(valve);
-        }
-    }
 }
 
 /// The two corner points bounding a lattice edge's crossing segment.
@@ -290,45 +500,15 @@ pub fn masking_violations(fpva: &Fpva, cut: &CutSet, curve: &[Corner]) -> Vec<Va
 /// On the Table I arrays this produces exactly
 /// `(rows − 1) + (cols − 1)` cut-sets — the paper's `n_c` column.
 pub fn straight_line_cuts(fpva: &Fpva) -> Result<Vec<CutSet>, AtpgError> {
+    require_ports(fpva)?;
+    Ok(CutContext::new(fpva).straight_lines(|_, _| {}))
+}
+
+fn require_ports(fpva: &Fpva) -> Result<(), AtpgError> {
     if fpva.sources().next().is_none() || fpva.sinks().next().is_none() {
         return Err(AtpgError::MissingPorts);
     }
-    let (rows, cols) = (fpva.rows(), fpva.cols());
-    let mut cuts: Vec<CutSet> = Vec::new();
-    let mut seen: HashSet<Vec<ValveId>> = HashSet::new();
-    let mut push_curve = |curve: Option<Vec<Corner>>| {
-        let Some(curve) = curve else { return };
-        let mut valves = crossed_valves(fpva, &curve);
-        apply_masking_constraint(fpva, &curve, &mut valves);
-        if let Ok(cut) = CutSet::new(fpva, valves) {
-            if seen.insert(cut.valves().to_vec()) {
-                cuts.push(cut);
-            }
-        }
-    };
-    for j in 1..cols {
-        // Vertical moves on the intended column boundary cost 1,
-        // everything else 2 (keeps detours local).
-        let cost = move |a: Corner, b: Corner| -> usize {
-            if a.1 == j && b.1 == j {
-                1
-            } else {
-                2
-            }
-        };
-        push_curve(dual_dijkstra(fpva, (0, j), (rows, j), cost));
-    }
-    for i in 1..rows {
-        let cost = move |a: Corner, b: Corner| -> usize {
-            if a.0 == i && b.0 == i {
-                1
-            } else {
-                2
-            }
-        };
-        push_curve(dual_dijkstra(fpva, (i, 0), (i, cols), cost));
-    }
-    Ok(cuts)
+    Ok(())
 }
 
 /// A cut forced through the given valve's dual segment: the curve runs
@@ -336,57 +516,9 @@ pub fn straight_line_cuts(fpva: &Fpva) -> Result<Vec<CutSet>, AtpgError> {
 /// other endpoint to the boundary avoiding the first half. Used to cover
 /// valves the straight-line family misses.
 pub fn cut_through_valve(fpva: &Fpva, valve: ValveId) -> Option<CutSet> {
-    let (rows, cols) = (fpva.rows(), fpva.cols());
-    let edge = fpva.edge_of(valve);
-    let (p, q) = dual_endpoints(edge);
-    // The curve must leave sources and sinks on opposite sides; which pair
-    // of boundary sides achieves that depends on the port placement, so
-    // probe all combinations and keep the first separating curve.
-    type SideGoal = fn(Corner, usize, usize) -> bool;
-    let sides: [SideGoal; 4] = [
-        |c, _, _| c.0 == 0,
-        |c, rows, _| c.0 == rows,
-        |c, _, _| c.1 == 0,
-        |c, _, cols| c.1 == cols,
-    ];
-    for g1 in sides {
-        for g2 in sides {
-            let mut forbidden: HashSet<Corner> = HashSet::new();
-            forbidden.insert(q);
-            let Some(half1) = dual_bfs(fpva, p, |c| g1(c, rows, cols), &forbidden) else {
-                continue;
-            };
-            forbidden.remove(&q);
-            forbidden.extend(half1.iter().copied());
-            let Some(half2) = dual_bfs(fpva, q, |c| g2(c, rows, cols), &forbidden) else {
-                continue;
-            };
-            // Assemble: boundary <- half1 reversed, p, q, half2 -> boundary.
-            let mut curve: Vec<Corner> = half1.into_iter().rev().collect();
-            curve.extend(half2);
-            let mut valves = crossed_valves(fpva, &curve);
-            valves.push(valve);
-            apply_masking_constraint(fpva, &curve, &mut valves);
-            let Ok(cut) = CutSet::new(fpva, valves) else {
-                continue;
-            };
-            // The cut must be *minimal through `valve`*: a stuck-at-1 at
-            // `valve` is only observable if opening it alone reconnects a
-            // source to a sink. Otherwise try the next curve shape.
-            let blocked: HashSet<EdgeId> = cut
-                .valves()
-                .iter()
-                .filter(|&&v| v != valve)
-                .map(|&v| fpva.edge_of(v))
-                .collect();
-            let reach = reachable_from(fpva, &source_cells(fpva), &blocked);
-            let reconnects = sink_cells(fpva).iter().any(|&s| reach[fpva.cell_index(s)]);
-            if reconnects {
-                return Some(cut);
-            }
-        }
-    }
-    None
+    CutContext::new(fpva)
+        .through_valve(valve)
+        .map(|(cut, _)| cut)
 }
 
 /// Result of [`cut_cover`].
@@ -411,54 +543,53 @@ impl CutCover {
 /// source to a sink. Valves the cut merely contains redundantly (e.g.
 /// added by the constraint-(9) repair) are not exposed by it.
 ///
-/// Two sweeps decide every member at once: with the whole cut closed,
+/// Two floods decide every member at once: with the whole cut closed,
 /// flood from the sources and from the sinks. A member is exposed iff one
 /// of its cells is source-reachable and the other sink-reachable. This is
 /// exact because the cut separates, so the two flooded regions are
 /// disjoint: reopening one member joins them iff it bridges both.
+/// [`cut_cover`] reuses the source flood of each cut's separation check,
+/// so only the sink flood is extra.
 pub fn exposed_valves(fpva: &Fpva, cut: &CutSet) -> Vec<ValveId> {
-    let blocked: HashSet<EdgeId> = cut.valves().iter().map(|&v| fpva.edge_of(v)).collect();
-    let from_sources = reachable_from(fpva, &source_cells(fpva), &blocked);
-    let from_sinks = reachable_from(fpva, &sink_cells(fpva), &blocked);
-    cut.valves()
-        .iter()
-        .copied()
-        .filter(|&v| {
-            let (a, b) = fpva.valve_endpoints(v);
-            let (a, b) = (fpva.cell_index(a), fpva.cell_index(b));
-            (from_sources[a] && from_sinks[b]) || (from_sources[b] && from_sinks[a])
-        })
-        .collect()
+    let mut ctx = CutContext::new(fpva);
+    ctx.close(cut.valves());
+    ctx.exposed(cut.valves())
 }
 
 /// The full cut-set generator: straight-line cuts plus targeted cuts for
 /// any valve whose stuck-at-1 fault the lines do not *expose* (membership
 /// in a cut is not enough — see [`exposed_valves`]).
 ///
+/// One dense flood context serves the whole chip: each cut costs two
+/// floods, the source flood of its separation check and the sink flood of
+/// its exposure.
+///
 /// # Errors
 ///
 /// Returns [`AtpgError::MissingPorts`] when the array lacks ports.
 pub fn cut_cover(fpva: &Fpva) -> Result<CutCover, AtpgError> {
-    let mut cuts = straight_line_cuts(fpva)?;
+    require_ports(fpva)?;
+    let mut ctx = CutContext::new(fpva);
     let mut exposed = vec![false; fpva.valve_count()];
-    for cut in &cuts {
-        for v in exposed_valves(fpva, cut) {
+    let mut cuts = ctx.straight_lines(|ctx, cut| {
+        for v in ctx.exposed(cut.valves()) {
             exposed[v.index()] = true;
         }
-    }
+    });
     let mut uncovered = Vec::new();
     for (v, _) in fpva.valves() {
-        if !exposed[v.index()] {
-            if let Some(cut) = cut_through_valve(fpva, v) {
-                // cut_through_valve guarantees minimality through `v`.
-                exposed[v.index()] = true;
-                for w in exposed_valves(fpva, &cut) {
+        if exposed[v.index()] {
+            continue;
+        }
+        // A forced cut is returned only if it exposes `v` itself.
+        match ctx.through_valve(v) {
+            Some((cut, members)) => {
+                for w in members {
                     exposed[w.index()] = true;
                 }
                 cuts.push(cut);
-            } else {
-                uncovered.push(v);
             }
+            None => uncovered.push(v),
         }
     }
     Ok(CutCover { cuts, uncovered })
@@ -467,6 +598,7 @@ pub fn cut_cover(fpva: &Fpva) -> Result<CutCover, AtpgError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::connectivity::{reachable_from, sink_cells, source_cells};
     use fpva_grid::{layouts, FpvaBuilder, PortKind, Side};
 
     #[test]
@@ -529,11 +661,13 @@ mod tests {
     #[test]
     fn straight_cuts_have_no_masking_violations_on_full_grid() {
         let f = layouts::full_array(4, 4);
+        let mut ctx = CutContext::new(&f);
+        let none = vec![false; corner_count(&f)];
         // Regenerate the curves to audit them.
         for j in 1..4 {
-            let curve = dual_bfs(&f, (0, j), |c| c.0 == 4, &HashSet::new()).unwrap();
+            let curve = dual_bfs(&f, (0, j), |c| c.0 == 4, &none).unwrap();
             let mut valves = crossed_valves(&f, &curve);
-            apply_masking_constraint(&f, &curve, &mut valves);
+            ctx.repair(&curve, &mut valves);
             let cut = CutSet::new(&f, valves).unwrap();
             assert!(masking_violations(&f, &cut, &curve).is_empty());
         }

@@ -29,6 +29,13 @@ pub struct PathCover {
     /// Valves no simple source→sink path could be routed through (empty on
     /// the paper's layouts).
     pub uncovered: Vec<ValveId>,
+    /// How many of `paths` the randomised fix-up routed: all of them for
+    /// [`greedy_cover`], none for the exact ILP cover, and for the
+    /// hierarchical cover those routed through valves no band covers.
+    pub fixup_paths: usize,
+    /// Hierarchical bands whose path [`FlowPath::new`] rejected (0 for
+    /// the other engines); their valves fall to the fix-up.
+    pub skipped_bands: usize,
 }
 
 impl PathCover {
@@ -67,7 +74,7 @@ pub(crate) fn serpentine_cells(row_start: usize, row_end: usize, cols: usize) ->
     cells
 }
 
-fn transpose(cells: Vec<CellId>) -> Vec<CellId> {
+pub(crate) fn transpose(cells: Vec<CellId>) -> Vec<CellId> {
     cells
         .into_iter()
         .map(|c| CellId::new(c.col, c.row))
@@ -118,7 +125,12 @@ pub fn greedy_cover(fpva: &Fpva, seed: u64, tries: usize) -> Result<PathCover, A
     let mut tracker = CoverageTracker::new(fpva);
     let mut paths: Vec<FlowPath> = Vec::new();
     let uncovered = cover_remaining(fpva, &mut tracker, &mut paths, &mut rng, tries)?;
-    Ok(PathCover { paths, uncovered })
+    Ok(PathCover {
+        fixup_paths: paths.len(),
+        skipped_bands: 0,
+        paths,
+        uncovered,
+    })
 }
 
 /// Routes additional paths until `tracker` is complete or the remaining

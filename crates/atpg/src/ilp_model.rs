@@ -451,6 +451,8 @@ pub fn min_path_cover_ilp_with_stats(
             Ok(PathCover {
                 paths: Vec::new(),
                 uncovered: Vec::new(),
+                fixup_paths: 0,
+                skipped_bands: 0,
             }),
             stats,
         );
@@ -521,6 +523,8 @@ pub fn min_path_cover_ilp_with_stats(
                     Ok(PathCover {
                         paths,
                         uncovered: Vec::new(),
+                        fixup_paths: 0,
+                        skipped_bands: 0,
                     }),
                     stats,
                 );
